@@ -23,7 +23,7 @@ class PreconditionViolation(FosboError, ValueError):
 class NumericFailure(FosboError, ArithmeticError):
     """A computation produced non-finite values or diverged.
 
-    ``context`` carries iterate information (outer step k, inner step t, ...)
+    ``context`` carries iterate information (outer step k, variable, ...)
     and, for solver runs, the partial trace collected before the abort.
     """
 

@@ -68,21 +68,16 @@ def _maybe_token(state: SolverState, noisy: bool, batch_size: int) -> SampleToke
 
 
 def inner_z_step(state: SolverState, problem: BilevelProblem,
-                 params: ScheduleParams, t: int = 0,
-                 batch_size: int = 1) -> Vector:
+                 params: ScheduleParams, batch_size: int = 1) -> Vector:
     """One tracking step for the lower-level minimizer: z -= gamma_k * grad_g_y."""
     tok = _maybe_token(state, problem.noise_regime.g_noisy, batch_size)
     z = state.z - state.schedule.gamma_k * problem.grad_g_y(state.x, state.z, tok)
-    if not np.all(np.isfinite(z)):
-        raise NumericFailure("z update produced non-finite values",
-                             k=state.k, t=t)
     state.z = z
     return z
 
 
 def inner_y_step(state: SolverState, problem: BilevelProblem,
-                 params: ScheduleParams, t: int = 0,
-                 batch_size: int = 1) -> Vector:
+                 params: ScheduleParams, batch_size: int = 1) -> Vector:
     """One penalized step: y -= alpha_k * (grad_f_y + lambda_k * grad_g_y).
 
     The two channels draw independent samples.
@@ -93,9 +88,6 @@ def inner_y_step(state: SolverState, problem: BilevelProblem,
     tg = _maybe_token(state, nr.g_noisy, batch_size)
     y = state.y - s.alpha_k * (problem.grad_f_y(state.x, state.y, tf)
                                + s.lambda_k * problem.grad_g_y(state.x, state.y, tg))
-    if not np.all(np.isfinite(y)):
-        raise NumericFailure("y update produced non-finite values",
-                             k=state.k, t=t)
     state.y = y
     return y
 
@@ -118,8 +110,6 @@ def outer_x_step(state: SolverState, problem: BilevelProblem,
                  + s.lambda_k * (problem.grad_g_x(state.x, state.y, tg1)
                                  - problem.grad_g_x(state.x, state.z, tg2)))
     x = state.x - params.xi * s.alpha_k * direction
-    if not np.all(np.isfinite(x)):
-        raise NumericFailure("x update produced non-finite values", k=state.k)
     state.x = x
     state.last_direction = direction
     return x
@@ -129,11 +119,20 @@ def f2sa_step(state: SolverState, problem: BilevelProblem,
               params: ScheduleParams, batch_size: int = 1,
               share_x_token: bool = False) -> SolverState:
     """One full outer iteration: T inner (z, y) steps, x step, multiplier
-    increment."""
-    for t in range(params.T):
-        inner_z_step(state, problem, params, t, batch_size)
-        inner_y_step(state, problem, params, t, batch_size)
+    increment.
+
+    The iterates are checked for finiteness once, after the x step; a
+    non-finite value met in any inner step propagates to that check, so
+    NumericFailure names the outer iteration where it first appeared.
+    """
+    for _ in range(params.T):
+        inner_z_step(state, problem, params, batch_size)
+        inner_y_step(state, problem, params, batch_size)
     outer_x_step(state, problem, params, batch_size, share_x_token)
+    if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.y))
+            and np.all(np.isfinite(state.z))):
+        raise NumericFailure("outer step produced non-finite iterates",
+                             k=state.k)
     state.schedule = advance(state.schedule, params)
     state.k += 1
     return state

@@ -20,7 +20,7 @@ from ..problems.hypercleaning import (HypercleaningProblem, corrupt_labels,
                                       make_synthetic_hypercleaning,
                                       nobo_baseline_run)
 from ..problems.quadratic import builtin_zoo, make_quadratic
-from ..reference import sobo_baseline_run
+from ..reference import Diagnostics, sobo_baseline_run
 from ..runs import RunResult
 from .analysis import as_trace_arrays
 from .config import ExperimentConfig
@@ -129,6 +129,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     summary.json, and return the summary dict.
 
     A seed that diverges is recorded as failed and does not abort the rest.
+    The rows it recorded before the failure go to
+    ``partial_<algorithm>_seed<seed>.csv``, named in its summary entry.
     The summary's "n_failed" equals len(seeds) when everything failed; the
     CLI turns that into a numeric-failure exit code.
     """
@@ -147,6 +149,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             entry.update(status="numeric-failure", error=str(exc),
                          error_context={k: v for k, v in exc.context.items()
                                         if isinstance(v, (int, float, str))})
+            if "partial_checkpoints" in exc.context:
+                ppath = out_dir / f"partial_{cfg.algorithm}_seed{seed}.csv"
+                _write_partial_trace(ppath, cfg, problem, seed, exc.context)
+                entry["partial_trace"] = str(ppath)
             per_seed.append(entry)
             continue
         tpath = out_dir / f"trace_{res.algorithm}_seed{seed}.csv"
@@ -175,6 +181,23 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
     return summary
+
+
+def _write_partial_trace(path: Path, cfg: ExperimentConfig,
+                         problem: BilevelProblem, seed: int,
+                         context: dict) -> None:
+    """Persist the rows a failed seed recorded; values that had already
+    blown up are written as blanks, since a trace holds finite values only."""
+    series = {name: np.where(np.isfinite(v), v, math.nan)
+              for name, v in context["partial_series"].items()}
+    grad_kind = ("none" if cfg.algorithm == "NoBO"
+                 else Diagnostics(problem, cfg.grad_mode).kind)
+    empty = np.empty(0)
+    write_trace_csv(path, RunResult(
+        algorithm=cfg.algorithm, problem_name=problem.name, seed=seed,
+        K=cfg.K, R=0, x_R=None, x_final=empty, y_final=empty, z_final=None,
+        lambda_final=math.nan, checkpoints=context["partial_checkpoints"],
+        series=series, grad_estimator=grad_kind))
 
 
 def _last_finite(arr) -> float | None:

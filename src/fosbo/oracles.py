@@ -6,12 +6,19 @@ is exposed to the solvers purely through four stochastic gradient channels
 same token evaluated at two different points reuses the same underlying
 sample (same additive noise vector, same mini-batch), which is exactly what
 the momentum-corrected estimators need.
+
+A token's sample is drawn from a counter-based Philox stream keyed by
+(token key, channel id) at counter 0 (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC 2011).  Each thread holds one Philox
+generator and re-keys it for every draw, so no generator is built per
+oracle call and no seeding pass runs.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,9 +28,9 @@ from .errors import InvalidArgumentError, NumericFailure
 
 Vector = np.ndarray
 
-# Channel ids mixed into the noise stream so distinct channels fed the same
-# token stay decorrelated, while the two g-channel evaluations that share a
-# token (momentum pairs) see identical noise.
+# Channel ids form the second word of the Philox key, so distinct channels fed
+# the same token draw from independent streams, while the two g-channel
+# evaluations that share a token (momentum pairs) see identical noise.
 _CHANNEL_ID = {"fx": 0x1F_A1, "fy": 0x2F_B3, "gx": 0x3F_C5, "gy": 0x4F_D7}
 
 _VALID_CHANNELS = ("fx", "fy", "gx", "gy")
@@ -49,10 +56,12 @@ class NoiseRegime(enum.Enum):
 class SampleToken:
     """Handle for one random draw.
 
-    ``key`` seeds the draw; ``batch_size`` is the nominal number of samples
-    averaged in it (mini-batch size for dataset oracles, averaging count for
-    synthetic additive noise).  Tokens are immutable and replayable: the same
-    token always reproduces the same sample, bit for bit.
+    ``key`` (an unsigned 64-bit integer) is the first word of the Philox key
+    the draw comes from, the channel id being the second; ``batch_size`` is
+    the nominal number of samples averaged in it (mini-batch size for
+    dataset oracles, averaging count for synthetic additive noise).  Tokens
+    are immutable and replayable: the same token always reproduces the same
+    sample, bit for bit.
     """
 
     key: int
@@ -62,24 +71,47 @@ class SampleToken:
 def draw_token(stream: np.random.Generator, batch_size: int = 1) -> SampleToken:
     """Draw a fresh token from ``stream``.
 
-    Consumes exactly one integer from the stream, so token sequences are
+    Consumes exactly one 64-bit word from the stream, so token sequences are
     reproducible from the stream's seed.
     """
     if batch_size <= 0:
         raise InvalidArgumentError(f"batch_size must be positive, got {batch_size}")
-    key = int(stream.integers(0, 2**63 - 1))
+    key = int(stream.bit_generator.random_raw())
     return SampleToken(key=key, batch_size=batch_size)
+
+
+class _KeyedPhilox(threading.local):
+    """One Philox generator per thread plus the state dict that re-keys it."""
+
+    def __init__(self):
+        self.bit_generator = np.random.Philox(0)
+        self.generator = np.random.Generator(self.bit_generator)
+        self.key = [0, 0]
+        # counter 0 and an empty output buffer: the stream starts afresh
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": [0, 0, 0, 0], "key": self.key},
+                      "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+
+
+_keyed = _KeyedPhilox()
 
 
 def token_rng(token: SampleToken, channel: str) -> np.random.Generator:
     """Deterministic generator for (token, channel).
 
-    Same token and channel give the same stream regardless of the point at
-    which the oracle is evaluated; this is what makes momentum pairs share
-    their sample.
+    Returns this thread's Philox generator re-keyed to (token key, channel
+    id) at counter 0.  Same token and channel give the same draws regardless
+    of the point at which the oracle is evaluated or of what was drawn
+    before; this is what makes momentum pairs share their sample.  The
+    generator is re-keyed by the next call on the same thread, so callers
+    draw from it at once and do not keep it.
     """
-    return np.random.Generator(np.random.PCG64(
-        (token.key * 0x9E3779B97F4A7C15 + _CHANNEL_ID[channel]) % (2**63)))
+    keyed = _keyed
+    keyed.key[0] = token.key
+    keyed.key[1] = _CHANNEL_ID[channel]
+    keyed.bit_generator.state = keyed.state
+    return keyed.generator
 
 
 def gaussian_noise(token: SampleToken, channel: str, dim: int, sigma: float) -> Vector:

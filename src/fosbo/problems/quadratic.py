@@ -10,7 +10,6 @@ the oracle tests, the bias-bound checks and the convergence-rate runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -135,9 +134,14 @@ class QuadraticBilevel:
         l_g1 = float(np.linalg.norm(joint_g, 2))
         mu_g = float(np.linalg.eigvalsh(self.A_g)[0])
 
-        l_f0 = max(_box_max_affine_norm(self.grad_f_x_exact, self.box_x, self.box_y),
-                   _box_max_affine_norm(self.grad_f_y_exact, self.box_x, self.box_y))
-        l_g0 = _box_max_affine_norm(self.grad_g_x_exact, self.box_x, self.box_y)
+        # each partial gradient is affine in (x, y): its matrix is a block
+        # row of the joint Hessian
+        dx = self.dim_x
+        box = (self.box_x, self.box_y)
+        l_f0 = max(_box_affine_norm_bound(joint_f[:dx], self.a_f, *box),
+                   _box_affine_norm_bound(joint_f[dx:], self.b_f, *box))
+        l_g0 = _box_affine_norm_bound(joint_g[:dx],
+                                      self.P.T @ self.A_g @ self.p, *box)
         l_lam0 = self._lipschitz_penalized_map(l_f1, mu_g)
         return RegularityConstants(
             l_f0=l_f0, l_f1=l_f1, l_g0=l_g0, l_g1=l_g1, mu_g=mu_g,
@@ -207,23 +211,17 @@ class QuadraticBilevel:
             analytics=analytics, second_order=second, name=self.name)
 
 
-def _box_max_affine_norm(grad, box_x, box_y) -> float:
-    """Maximum of ||grad(x, y)|| over the box.
+def _box_affine_norm_bound(M: np.ndarray, b: Vector, box_x, box_y) -> float:
+    """Upper bound on ||M u + b|| over the box of u = (x, y).
 
-    The gradients here are affine in (x, y), so the norm is convex and the
-    maximum sits at a box vertex; enumerate them.
+    With box center c and half-widths r, ||M c + b|| + sum_i r_i ||M e_i||
+    bounds the norm everywhere on the box; it is the exact maximum when the
+    output is one-dimensional.
     """
-    lo_x, hi_x = box_x
-    lo_y, hi_y = box_y
-    dx, dy = len(lo_x), len(lo_y)
-    if dx + dy > 16:
-        raise InvalidArgumentError("box constant enumeration limited to 16 total dims")
-    best = 0.0
-    for bits_x in itertools.product(*zip(lo_x, hi_x)):
-        x = np.array(bits_x)
-        for bits_y in itertools.product(*zip(lo_y, hi_y)):
-            best = max(best, float(np.linalg.norm(grad(x, np.array(bits_y)))))
-    return best
+    lo = np.concatenate([box_x[0], box_y[0]])
+    hi = np.concatenate([box_x[1], box_y[1]])
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return float(np.linalg.norm(M @ c + b) + np.linalg.norm(M, axis=0) @ r)
 
 
 def make_quadratic(dims: tuple[int, int], seed: int,

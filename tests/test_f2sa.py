@@ -1,5 +1,7 @@
 """Double-loop solver: step formulas, traces, determinism, guard rails."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,29 @@ class TestGuardsAndWarnings:
         ctx = exc.value.context
         assert "partial_checkpoints" in ctx
         assert ctx["k"] >= 1
+
+    def test_nonfinite_inner_step_names_its_outer_step(self, canonical):
+        # one NaN from the lower-level oracle, on an inner step of outer
+        # iteration 3, surfaces at the end of that outer step
+        exact = canonical.to_problem()
+        calls = {"gy": 0}
+        p = flat_params(T=4)
+        bad_call = 3 * 2 * p.T + 5  # the z and y steps each call grad_g_y
+
+        def grad_g_y(x, y, token):
+            calls["gy"] += 1
+            if calls["gy"] == bad_call:
+                return np.array([np.nan])
+            return exact.grad_g_y(x, y, token)
+
+        prob = dataclasses.replace(exact, grad_g_y=grad_g_y)
+        st = init_state(prob, p, seed=0, x0=np.array([1.0]))
+        for _ in range(3):
+            f2sa_step(st, prob, p)
+        with pytest.raises(NumericFailure) as exc:
+            f2sa_step(st, prob, p)
+        assert exc.value.context["k"] == 3
+        assert st.k == 3
 
     def test_condition_violations_warn(self, canonical_problem):
         with pytest.warns(RuntimeWarning, match="gamma_exceeds"):

@@ -390,8 +390,13 @@ class TestRunExperiment:
         for entry in summary["seeds"]:
             assert entry["status"] == "numeric-failure"
             assert "diverged" in entry["error"]
-            # arrays are stripped from the persisted context
+            # arrays are stripped from the persisted context; the rows
+            # recorded before the failure go to a partial trace instead
             assert "partial_checkpoints" not in entry["error_context"]
+            partial = read_trace(entry["partial_trace"])
+            assert partial["seed"] == entry["seed"]
+            assert partial["k"][0] == 0
+            assert partial["k"][-1] < entry["error_context"]["k"]
         assert summary["aggregate"] == {}
         assert not list(out.glob("trace_*.csv"))
         assert (out / "summary.json").exists()
@@ -488,6 +493,9 @@ class TestCli:
         with pytest.warns(RuntimeWarning, match="step-size conditions"):
             assert main(["run", str(cfg_path)]) == 2
         assert "all seeds failed" in capsys.readouterr().err
+        # the failed seed keeps its evidence, outside the trace_*.csv glob
+        assert (tmp_path / "exp" / "partial_F2SA_seed0.csv").exists()
+        assert not list((tmp_path / "exp").glob("trace_*.csv"))
 
     def test_data_errors_exit_3(self, run_artifacts, tmp_path, capsys):
         _, traces = run_artifacts

@@ -1,5 +1,8 @@
 """Sample tokens, noise channels, regularity constants, oracle evaluation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,55 @@ class TestTokens:
         b = token_rng(tok, "gy").normal(size=3)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+    def test_keyed_draws_uncorrelated(self):
+        # first draws of N tokens: the same token's fy and gy samples, and
+        # consecutive tokens' samples, must look independent.  |corr| of N
+        # independent pairs has standard deviation 1/sqrt(N).
+        n = 20_000
+        stream = np.random.default_rng(2024)
+        toks = [draw_token(stream) for _ in range(n)]
+        fy = np.array([token_rng(t, "fy").standard_normal() for t in toks])
+        gy = np.array([token_rng(t, "gy").standard_normal() for t in toks])
+        bound = 4 / np.sqrt(n)
+        assert abs(np.corrcoef(fy, gy)[0, 1]) < bound
+        assert abs(np.corrcoef(fy[:-1], fy[1:])[0, 1]) < bound
+        assert abs(np.corrcoef(gy[:-1], gy[1:])[0, 1]) < bound
+
+    def test_draws_independent_of_call_order(self, rng):
+        t1, t2 = draw_token(rng), draw_token(rng)
+        a1 = gaussian_noise(t1, "gx", 5, 1.0)
+        a2 = gaussian_noise(t2, "gx", 5, 1.0)
+        b2 = gaussian_noise(t2, "gx", 5, 1.0)
+        b1 = gaussian_noise(t1, "gx", 5, 1.0)
+        assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
+        # a partly consumed stream does not leak into the next token's draw
+        token_rng(t2, "fy").random(3)
+        assert np.array_equal(gaussian_noise(t1, "gx", 5, 1.0), a1)
+
+    def test_threads_draw_what_one_thread_draws(self, rng):
+        # each thread re-keys its own generator: interleaved threads must
+        # reproduce the serial samples bitwise
+        toks = [draw_token(rng) for _ in range(300)]
+        serial = [gaussian_noise(t, "fy", 4, 1.0) for t in toks]
+        results = [None] * 6
+
+        def work(i):
+            results[i] = [gaussian_noise(t, "fy", 4, 1.0) for t in toks]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        for got in results:
+            assert all(np.array_equal(a, b) for a, b in zip(got, serial))
 
 
 class TestGaussianNoise:

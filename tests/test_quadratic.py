@@ -76,6 +76,22 @@ class TestConstants:
         assert eigs[0] == pytest.approx(1.0, rel=1e-10)
         assert eigs[-1] / eigs[0] == pytest.approx(10.0, rel=1e-10)
 
+    def test_gradient_bounds_cover_the_box(self, zoo):
+        # l_f0 bounds both partial gradients of f, l_g0 that of g in x, at
+        # every point of the declared box: vertices and interior alike
+        rng = np.random.default_rng(0)
+        for q in [*zoo.values(), make_quadratic((3, 4), seed=5)]:
+            c = q.local_constants()
+            (lx, hx), (ly, hy) = q.box_x, q.box_y
+            for _ in range(200):
+                corner = rng.random() < 0.5
+                tx = rng.integers(0, 2, lx.size) if corner else rng.random(lx.size)
+                ty = rng.integers(0, 2, ly.size) if corner else rng.random(ly.size)
+                x, y = lx + tx * (hx - lx), ly + ty * (hy - ly)
+                assert np.linalg.norm(q.grad_f_x_exact(x, y)) <= c.l_f0 + 1e-9
+                assert np.linalg.norm(q.grad_f_y_exact(x, y)) <= c.l_f0 + 1e-9
+                assert np.linalg.norm(q.grad_g_x_exact(x, y)) <= c.l_g0 + 1e-9
+
     def test_noise_levels_pass_through(self, canonical):
         c = canonical.local_constants(sigma_f=0.3, sigma_g=0.7)
         assert c.sigma_f == 0.3 and c.sigma_g == 0.7
@@ -99,6 +115,12 @@ class TestRandomInstances:
         assert np.allclose(eigs, np.geomspace(1.0, 25.0, 5), rtol=1e-9)
         H, _, _ = q.hyper_matrices()
         assert np.linalg.eigvalsh(0.5 * (H + H.T))[0] > 0.1
+
+    def test_large_instance_builds(self):
+        prob = make_quadratic((32, 32), seed=0).to_problem()
+        assert prob.dim_x == prob.dim_y == 32
+        c = prob.constants
+        assert np.isfinite(c.l_f0) and np.isfinite(c.l_g0)
 
     def test_conditioning_below_one_rejected(self):
         with pytest.raises(InvalidArgumentError):
