@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class BatchResult:
     series: dict[str, np.ndarray]
     schedule_series: dict[str, np.ndarray]
     wall_time_s: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def seed_mean(self, name: str) -> np.ndarray:
         return self.series[name].mean(axis=1)

@@ -11,17 +11,17 @@ and grows the multiplier by the scheduled increment.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailure
 from .oracles import BilevelProblem, SampleToken, Vector, draw_token
 from .reference import Diagnostics
-from .runs import RunResult, TraceBuilder, checkpoint_cadence, guard_state
+from .runs import RunResult, drive
 from .schedule import (Algorithm, ScheduleParams, ScheduleState, advance,
                        check_theorem_conditions, make_schedule)
 
@@ -68,7 +68,7 @@ def _maybe_token(state: SolverState, noisy: bool, batch_size: int) -> SampleToke
 
 
 def inner_z_step(state: SolverState, problem: BilevelProblem,
-                 params: ScheduleParams, batch_size: int = 1) -> Vector:
+                 batch_size: int = 1) -> Vector:
     """One tracking step for the lower-level minimizer: z -= gamma_k * grad_g_y."""
     tok = _maybe_token(state, problem.noise_regime.g_noisy, batch_size)
     z = state.z - state.schedule.gamma_k * problem.grad_g_y(state.x, state.z, tok)
@@ -77,7 +77,7 @@ def inner_z_step(state: SolverState, problem: BilevelProblem,
 
 
 def inner_y_step(state: SolverState, problem: BilevelProblem,
-                 params: ScheduleParams, batch_size: int = 1) -> Vector:
+                 batch_size: int = 1) -> Vector:
     """One penalized step: y -= alpha_k * (grad_f_y + lambda_k * grad_g_y).
 
     The two channels draw independent samples.
@@ -126,8 +126,8 @@ def f2sa_step(state: SolverState, problem: BilevelProblem,
     NumericFailure names the outer iteration where it first appeared.
     """
     for _ in range(params.T):
-        inner_z_step(state, problem, params, batch_size)
-        inner_y_step(state, problem, params, batch_size)
+        inner_z_step(state, problem, batch_size)
+        inner_y_step(state, problem, batch_size)
     outer_x_step(state, problem, params, batch_size, share_x_token)
     if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.y))
             and np.all(np.isfinite(state.z))):
@@ -146,8 +146,43 @@ def warn_condition_violations(params: ScheduleParams, problem: BilevelProblem,
     if violations:
         warnings.warn(
             "schedule violates step-size conditions at k=0: "
-            + ", ".join(violations), RuntimeWarning, stacklevel=3)
+            + ", ".join(violations), RuntimeWarning, stacklevel=4)
     return violations
+
+
+def _solver_run(algorithm: str, problem: BilevelProblem,
+                params: ScheduleParams, K: int, seed: int, x0, y0, z0, step,
+                *, checkpoint_every: int | None, callbacks, grad_mode: str,
+                check_constants: bool) -> RunResult:
+    """The run both solvers share: seeded state, the condition advisory,
+    rows of schedule values and state diagnostics, and ``drive`` over
+    ``step(state, due)``."""
+    t_start = time.perf_counter()
+    state = init_state(problem, params, seed, x0, y0, z0, K=K,
+                       check_constants=check_constants)
+    warn_condition_violations(params, problem, state.schedule)
+    diag = Diagnostics(problem, grad_mode)
+
+    def row() -> dict:
+        s = state.schedule
+        return dict(alpha=s.alpha_k, gamma=s.gamma_k, beta=s.beta_k,
+                    eta=s.eta_k, **{"lambda": s.lambda_k},
+                    **diag.state_row(state.x, state.y, state.z, s.lambda_k))
+
+    checkpoints, series, x_R = drive(
+        K, checkpoint_every, lambda: {"x": state.x, "y": state.y, "z": state.z},
+        row, partial(step, state), R=state.R, callbacks=callbacks)
+    return RunResult(
+        algorithm=algorithm, problem_name=problem.name, seed=seed, K=K,
+        R=state.R, x_R=x_R, x_final=state.x, y_final=state.y, z_final=state.z,
+        lambda_final=state.schedule.lambda_k,
+        checkpoints=checkpoints, series=series, grad_estimator=diag.kind,
+        wall_time_s=time.perf_counter() - t_start)
+
+
+def _proxy_row(state: SolverState) -> dict:
+    d = state.last_direction
+    return {"proxy_sq": float(d @ d)}
 
 
 def f2sa_run(problem: BilevelProblem, params: ScheduleParams, K: int,
@@ -168,42 +203,11 @@ def f2sa_run(problem: BilevelProblem, params: ScheduleParams, K: int,
         raise InvalidArgumentError("params are not for the double-loop solver")
     if K < 0:
         raise InvalidArgumentError("iteration budget must be nonnegative")
-    t_start = time.perf_counter()
-    state = init_state(problem, params, seed, x0, y0, z0, K=K,
-                       check_constants=check_constants)
-    warn_condition_violations(params, problem, state.schedule)
-    cadence = checkpoint_cadence(K, checkpoint_every)
-    diag = Diagnostics(problem, grad_mode)
-    builder = TraceBuilder()
-    x_R: Vector | None = None
 
-    def record(k: int) -> dict:
-        guard_state(k, builder, x=state.x, y=state.y, z=state.z)
-        s = state.schedule
-        row = builder.add(k, alpha=s.alpha_k, gamma=s.gamma_k, beta=s.beta_k,
-                          **{"lambda": s.lambda_k},
-                          **diag.state_row(state.x, state.y, state.z, s.lambda_k))
-        return row
-
-    for k in range(K):
-        row = record(k) if k % cadence == 0 else None
-        if k == state.R:
-            x_R = state.x.copy()
+    def step(state: SolverState, due: bool) -> dict | None:
         f2sa_step(state, problem, params, batch_size, share_x_token)
-        if row is not None:
-            d = state.last_direction
-            row["proxy_sq"] = float(d @ d)
-            for cb in callbacks:
-                cb(k, row)
-    if K > 0 and K % cadence == 0:
-        row = record(K)
-        for cb in callbacks:
-            cb(K, row)
-    checkpoints, series = builder.finalize()
-    return RunResult(
-        algorithm="F2SA", problem_name=problem.name, seed=seed, K=K,
-        R=state.R if state.R is not None else 0, x_R=x_R,
-        x_final=state.x, y_final=state.y, z_final=state.z,
-        lambda_final=state.schedule.lambda_k,
-        checkpoints=checkpoints, series=series, grad_estimator=diag.kind,
-        wall_time_s=time.perf_counter() - t_start)
+        return _proxy_row(state) if due else None
+
+    return _solver_run("F2SA", problem, params, K, seed, x0, y0, z0, step,
+                       checkpoint_every=checkpoint_every, callbacks=callbacks,
+                       grad_mode=grad_mode, check_constants=check_constants)

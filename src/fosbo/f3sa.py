@@ -9,18 +9,15 @@ and advances the multiplier.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailure
 from .oracles import BilevelProblem, Vector, draw_token
-from .reference import Diagnostics
-from .runs import RunResult, TraceBuilder, checkpoint_cadence, guard_state
+from .runs import RunResult
 from .schedule import Algorithm, ScheduleParams, advance
-from .f2sa import SolverState, init_state, warn_condition_violations
+from .f2sa import SolverState, _proxy_row, _solver_run
 
 
 @dataclass
@@ -144,45 +141,13 @@ def f3sa_run(problem: BilevelProblem, params: ScheduleParams, K: int,
         raise InvalidArgumentError("params are not for the momentum solver")
     if K < 0:
         raise InvalidArgumentError("iteration budget must be nonnegative")
-    t_start = time.perf_counter()
-    state = init_state(problem, params, seed, x0, y0, z0, K=K,
-                       check_constants=check_constants)
     mom = MomentumState()
-    warn_condition_violations(params, problem, state.schedule)
-    cadence = checkpoint_cadence(K, checkpoint_every)
-    diag = Diagnostics(problem, grad_mode)
-    builder = TraceBuilder()
-    x_R: Vector | None = None
 
-    def record(k: int) -> dict:
-        guard_state(k, builder, x=state.x, y=state.y, z=state.z)
-        s = state.schedule
-        return builder.add(k, alpha=s.alpha_k, gamma=s.gamma_k, beta=s.beta_k,
-                           eta=s.eta_k,
-                           **{"lambda": s.lambda_k},
-                           **diag.state_row(state.x, state.y, state.z, s.lambda_k))
-
-    for k in range(K):
-        row = record(k) if k % cadence == 0 else None
-        if k == state.R:
-            x_R = state.x.copy()
+    def step(state: SolverState, due: bool) -> dict | None:
         err = f3sa_step(state, mom, problem, params, batch_size,
-                        exact_z_error=row is not None)
-        if row is not None:
-            d = state.last_direction
-            row["proxy_sq"] = float(d @ d)
-            row["mom_err_z_sq"] = err
-            for cb in callbacks:
-                cb(k, row)
-    if K > 0 and K % cadence == 0:
-        row = record(K)
-        for cb in callbacks:
-            cb(K, row)
-    checkpoints, series = builder.finalize()
-    return RunResult(
-        algorithm="F3SA", problem_name=problem.name, seed=seed, K=K,
-        R=state.R if state.R is not None else 0, x_R=x_R,
-        x_final=state.x, y_final=state.y, z_final=state.z,
-        lambda_final=state.schedule.lambda_k,
-        checkpoints=checkpoints, series=series, grad_estimator=diag.kind,
-        wall_time_s=time.perf_counter() - t_start)
+                        exact_z_error=due)
+        return {**_proxy_row(state), "mom_err_z_sq": err} if due else None
+
+    return _solver_run("F3SA", problem, params, K, seed, x0, y0, z0, step,
+                       checkpoint_every=checkpoint_every, callbacks=callbacks,
+                       grad_mode=grad_mode, check_constants=check_constants)

@@ -4,14 +4,13 @@ from .analysis import as_trace_arrays, emit_plot_data, fit_rate
 from .config import (ExperimentConfig, config_from_dict, config_to_dict,
                      dump_config, load_config, parse_config, save_config)
 from .runner import build_problem, run_experiment
-from .trace import (TRACE_COLUMNS, TraceRecord, read_trace, records_from_run,
+from .trace import (TRACE_COLUMNS, read_trace, records_from_run,
                     write_trace_csv)
 from .verify import run_verification
 
 __all__ = [
     "ExperimentConfig",
     "TRACE_COLUMNS",
-    "TraceRecord",
     "as_trace_arrays",
     "build_problem",
     "config_from_dict",

@@ -12,25 +12,11 @@ from ..errors import DataError
 from ..runs import RunResult
 from .trace import records_from_run
 
-_REC_NUMERIC = ("lambda_k", "alpha_k", "gamma_k", "eta_k", "grad_F_norm_sq",
-                "proxy_norm", "dist_y_to_ystar_lambda", "dist_z_to_ystar",
-                "train_loss", "val_loss", "potential")
-_REC_TO_COLUMN = {"lambda_k": "lambda", "alpha_k": "alpha",
-                  "gamma_k": "gamma", "eta_k": "eta"}
-
 
 def as_trace_arrays(t) -> dict:
     """Accept a RunResult or an already-loaded trace dict."""
     if isinstance(t, RunResult):
-        recs = records_from_run(t)
-        out = {"algorithm": t.algorithm, "seed": t.seed,
-               "grad_kind": t.grad_estimator,
-               "k": np.array([r.k for r in recs])}
-        for name in _REC_NUMERIC:
-            col = _REC_TO_COLUMN.get(name, name)
-            out[col] = np.array([math.nan if getattr(r, name) is None
-                                 else getattr(r, name) for r in recs])
-        return out
+        return records_from_run(t)
     if not isinstance(t, dict) or "k" not in t:
         raise DataError("trace must be a RunResult or a dict with a 'k' array")
     return t

@@ -1,8 +1,8 @@
-"""Trace records and CSV persistence for solver runs.
+"""Trace columns and CSV persistence for solver runs.
 
 One trace file per (algorithm, seed) run: a header row then one row per
 checkpoint.  Missing diagnostics (no analytics, no eta for the double-loop
-solver) are written as empty fields and read back as None/NaN.  Distances
+solver) are written as empty fields and read back as NaN.  Distances
 and the proxy norm are stored unsquared; the gradient diagnostic is the
 squared norm, with a column flagging whether it was exact or estimated.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -27,96 +26,65 @@ TRACE_COLUMNS = (
     "train_loss", "val_loss", "potential",
 )
 
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One checkpoint row; None marks diagnostics the run does not provide."""
-
-    k: int
-    lambda_k: float | None
-    alpha_k: float | None
-    gamma_k: float | None
-    eta_k: float | None
-    grad_F_norm_sq: float | None
-    grad_kind: str
-    proxy_norm: float | None
-    dist_y_to_ystar_lambda: float | None
-    dist_z_to_ystar: float | None
-    train_loss: float | None
-    val_loss: float | None
-    potential: float | None
+# each numeric column -> (the run series it comes from, stored unsquared)
+NUMERIC_COLUMNS = {
+    "lambda": ("lambda", False),
+    "alpha": ("alpha", False),
+    "gamma": ("gamma", False),
+    "eta": ("eta", False),
+    "grad_F_norm_sq": ("grad_F_sq", False),
+    "proxy_norm": ("proxy_sq", True),
+    "dist_y_to_ystar_lambda": ("dist_y_sq", True),
+    "dist_z_to_ystar": ("dist_z_sq", True),
+    "train_loss": ("train_loss", False),
+    "val_loss": ("val_loss", False),
+    "potential": ("potential", False),
+}
 
 
-def _opt(series: dict, name: str, i: int, sqrt: bool = False) -> float | None:
-    arr = series.get(name)
-    if arr is None or i >= len(arr):
-        return None
-    v = float(arr[i])
-    if math.isnan(v):
-        return None
-    return math.sqrt(v) if sqrt else v
-
-
-def records_from_run(result: RunResult) -> list[TraceRecord]:
-    """Convert a run's checkpoint series into trace records.
+def records_from_run(result: RunResult) -> dict:
+    """A run's trace as the columns read_trace returns: "algorithm", "seed"
+    and "grad_kind" scalars, the "k" array, and one float array per numeric
+    column with NaN where the run provides no value.
 
     Enforces the trace invariants: strictly increasing k and finite values
     everywhere a value is present.
     """
-    out = []
-    s = result.series
-    prev_k = -1
-    for i, k in enumerate(result.checkpoints):
-        k = int(k)
-        if k <= prev_k:
-            raise DataError(f"checkpoint indices not increasing at row {i}")
-        prev_k = k
-        rec = TraceRecord(
-            k=k,
-            lambda_k=_opt(s, "lambda", i),
-            alpha_k=_opt(s, "alpha", i),
-            gamma_k=_opt(s, "gamma", i),
-            eta_k=_opt(s, "eta", i),
-            grad_F_norm_sq=_opt(s, "grad_F_sq", i),
-            grad_kind=result.grad_estimator,
-            proxy_norm=_opt(s, "proxy_sq", i, sqrt=True),
-            dist_y_to_ystar_lambda=_opt(s, "dist_y_sq", i, sqrt=True),
-            dist_z_to_ystar=_opt(s, "dist_z_sq", i, sqrt=True),
-            train_loss=_opt(s, "train_loss", i),
-            val_loss=_opt(s, "val_loss", i),
-            potential=_opt(s, "potential", i),
-        )
-        for f in dc_fields(rec):
-            v = getattr(rec, f.name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise DataError(f"non-finite {f.name} at k={k}")
-        out.append(rec)
+    ks = np.asarray(result.checkpoints, dtype=int)
+    bad = np.flatnonzero(np.diff(ks, prepend=-1) <= 0)
+    if bad.size:
+        raise DataError(f"checkpoint indices not increasing at row {bad[0]}")
+    out: dict = {"algorithm": result.algorithm, "seed": result.seed,
+                 "grad_kind": result.grad_estimator, "k": ks}
+    for column, (name, unsquared) in NUMERIC_COLUMNS.items():
+        v = np.asarray(result.series.get(name, np.full(ks.size, math.nan)),
+                       dtype=float)
+        inf = np.flatnonzero(np.isinf(v))
+        if inf.size:
+            raise DataError(f"non-finite {column} at k={ks[inf[0]]}")
+        out[column] = np.sqrt(v) if unsquared else v
     return out
 
 
 def write_trace_csv(path, result: RunResult) -> None:
-    records = records_from_run(result)
+    cols = records_from_run(result)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(TRACE_COLUMNS)
-        for r in records:
-            w.writerow([
-                result.algorithm, result.seed, r.k,
-                _fmt(r.lambda_k), _fmt(r.alpha_k), _fmt(r.gamma_k),
-                _fmt(r.eta_k), _fmt(r.grad_F_norm_sq), r.grad_kind,
-                _fmt(r.proxy_norm), _fmt(r.dist_y_to_ystar_lambda),
-                _fmt(r.dist_z_to_ystar), _fmt(r.train_loss),
-                _fmt(r.val_loss), _fmt(r.potential),
-            ])
+        for i, k in enumerate(cols["k"]):
+            w.writerow([_fmt(cols[c][i]) if c in NUMERIC_COLUMNS
+                        else int(k) if c == "k" else cols[c]
+                        for c in TRACE_COLUMNS])
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else repr(v)
+def _fmt(v: float) -> str:
+    return "" if math.isnan(v) else repr(float(v))
 
 
 def read_trace(path) -> dict:
     """Read a trace CSV into a dict of arrays (numeric fields become float
-    arrays with NaN for blanks) plus "algorithm" and "seed" scalars."""
+    arrays with NaN for blanks) plus "algorithm", "seed" and "grad_kind"
+    scalars."""
     try:
         f = open(path, newline="")
     except OSError as exc:
@@ -132,16 +100,15 @@ def read_trace(path) -> dict:
         rows = [r for r in reader if r]
     if not rows:
         raise DataError(f"{path}: trace has no checkpoint rows")
-    algorithm = rows[0][0]
-    seed = int(rows[0][1])
-    out: dict = {"algorithm": algorithm, "seed": seed}
-    out["k"] = np.array([int(r[2]) for r in rows])
-    out["grad_kind"] = rows[0][8]
-    numeric = [(3, "lambda"), (4, "alpha"), (5, "gamma"), (6, "eta"),
-               (7, "grad_F_norm_sq"), (9, "proxy_norm"),
-               (10, "dist_y_to_ystar_lambda"), (11, "dist_z_to_ystar"),
-               (12, "train_loss"), (13, "val_loss"), (14, "potential")]
-    for col, name in numeric:
-        out[name] = np.array([float(r[col]) if r[col] != "" else math.nan
-                              for r in rows])
+    if any(len(r) != len(TRACE_COLUMNS) for r in rows):
+        raise DataError(f"{path}: a row does not have "
+                        f"{len(TRACE_COLUMNS)} fields")
+    cols = dict(zip(TRACE_COLUMNS, zip(*rows)))
+    out: dict = {"algorithm": cols["algorithm"][0],
+                 "seed": int(cols["seed"][0]),
+                 "grad_kind": cols["grad_kind"][0],
+                 "k": np.array([int(v) for v in cols["k"]])}
+    for column in NUMERIC_COLUMNS:
+        out[column] = np.array([float(v) if v != "" else math.nan
+                                for v in cols[column]])
     return out

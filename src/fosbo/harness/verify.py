@@ -10,11 +10,11 @@ import numpy as np
 
 from ..f2sa import f2sa_run
 from ..f3sa import f3sa_run
-from ..oracles import NoiseRegime, draw_token, gaussian_noise
+from ..oracles import draw_token, gaussian_noise
 from ..problems.quadratic import builtin_zoo, make_quadratic
 from ..reference import (bias_bound_check, exact_hypergradient,
                          finite_difference_grad, hyper_objective,
-                         solve_lower_level, solve_penalized)
+                         solve_lower_level)
 from ..schedule import Algorithm, check_sweep, default_params, run_schedule
 
 

@@ -28,7 +28,7 @@ from ..oracles import (
     SecondOrderOracle,
     token_rng,
 )
-from ..runs import RunResult, TraceBuilder, checkpoint_cadence, guard_state
+from ..runs import RunResult, drive
 
 
 @dataclass(frozen=True)
@@ -274,30 +274,22 @@ def nobo_baseline_run(data: HypercleaningProblem, K: int, seed: int,
     n, reg = data.n_train, data.reg
     rng = np.random.default_rng(seed)
     w = np.zeros(C * d)
-    cadence = checkpoint_cadence(K, checkpoint_every)
-    builder = TraceBuilder()
 
-    def losses_at(wvec):
-        W = wvec.reshape(C, d)
+    def row() -> dict:
+        W = w.reshape(C, d)
         _, lt = _softmax_ce(W, Xt, yt)
         _, lv = _softmax_ce(W, data.X_val, data.y_val)
-        return float(lt.mean() + reg * (wvec @ wvec)), float(lv.mean())
+        return {"train_loss": float(lt.mean() + reg * (w @ w)),
+                "val_loss": float(lv.mean())}
 
-    def record(k):
-        guard_state(k, builder, w=w)
-        tr, va = losses_at(w)
-        builder.add(k, train_loss=tr, val_loss=va)
-
-    for k in range(K):
-        if k % cadence == 0:
-            record(k)
+    def step(due: bool) -> None:
+        nonlocal w
         idx = rng.integers(0, n, size=batch_size)
         W = w.reshape(C, d)
         gb = _ce_grad_W(W, Xt[idx], yt[idx], np.full(batch_size, 1.0 / batch_size))
         w = w - alpha * (gb + 2.0 * reg * w)
-    if K > 0 and K % cadence == 0:
-        record(K)
-    ks, series = builder.finalize()
+
+    ks, series, _ = drive(K, checkpoint_every, lambda: {"w": w}, row, step)
     return RunResult(algorithm="NoBO", problem_name="hypercleaning", seed=seed,
                      K=K, R=0, x_R=None, x_final=np.zeros(n), y_final=w,
                      z_final=None, lambda_final=float("nan"), checkpoints=ks,

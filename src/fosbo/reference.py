@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailure, PreconditionViolation
 from .oracles import BilevelProblem, Vector, draw_token
-from .runs import RunResult, TraceBuilder, checkpoint_cadence, guard_state
+from .runs import RunResult, drive
 
 
 def solve_lower_level(problem: BilevelProblem, x: Vector, tol: float = 1e-10,
@@ -262,23 +262,16 @@ def sobo_baseline_run(problem: BilevelProblem, K: int, seed: int,
 
     rng = np.random.default_rng(seed)
     R = int(rng.integers(0, K)) if K > 0 else 0
-    x_R = None
     f_noisy = problem.noise_regime.f_noisy
     g_noisy = problem.noise_regime.g_noisy
-    cadence = checkpoint_cadence(K, checkpoint_every)
     diag = Diagnostics(problem, grad_mode)
-    builder = TraceBuilder()
 
-    def record(k, proxy_sq=math.nan):
-        guard_state(k, builder, x=x, y=y)
-        row = builder.add(k, alpha=alpha, gamma=gamma, proxy_sq=proxy_sq,
-                          **diag.state_row(x, y, None, math.nan))
-        return row
+    def row() -> dict:
+        return dict(alpha=alpha, gamma=gamma,
+                    **diag.state_row(x, y, None, math.nan))
 
-    for k in range(K):
-        row = record(k) if k % cadence == 0 else None
-        if k == R:
-            x_R = x.copy()
+    def step(due: bool) -> dict | None:
+        nonlocal x, y
         for _ in range(inner_steps):
             tg = draw_token(rng, batch_size) if g_noisy else None
             y = y - gamma * problem.grad_g_y(x, y, tg)
@@ -289,12 +282,11 @@ def sobo_baseline_run(problem: BilevelProblem, K: int, seed: int,
         tfx = draw_token(rng, batch_size) if f_noisy else None
         h = problem.grad_f_x(x, y, tfx) - np.atleast_2d(
             np.asarray(so.jac_g_xy(x, y), dtype=float)) @ v
-        if row is not None:
-            row["proxy_sq"] = float(h @ h)
         x = x - alpha * h
-    if K > 0 and K % cadence == 0:
-        record(K)
-    checkpoints, series = builder.finalize()
+        return {"proxy_sq": float(h @ h)} if due else None
+
+    checkpoints, series, x_R = drive(K, checkpoint_every,
+                                     lambda: {"x": x, "y": y}, row, step, R=R)
     return RunResult(
         algorithm="SOBO", problem_name=problem.name, seed=seed, K=K, R=R,
         x_R=x_R, x_final=x, y_final=y, z_final=None, lambda_final=math.nan,

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 

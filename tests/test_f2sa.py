@@ -8,7 +8,11 @@ import pytest
 from fosbo.errors import InvalidArgumentError, NumericFailure
 from fosbo.f2sa import (f2sa_run, f2sa_step, init_state, inner_y_step,
                         inner_z_step, outer_x_step)
+from fosbo.f3sa import f3sa_run
 from fosbo.oracles import NoiseRegime
+from fosbo.problems.hypercleaning import (make_synthetic_hypercleaning,
+                                          nobo_baseline_run)
+from fosbo.reference import sobo_baseline_run
 from fosbo.schedule import Algorithm, ScheduleParams, default_params
 
 
@@ -34,13 +38,13 @@ class TestStepFormulas:
     def test_inner_z_step_frozen(self, canonical_problem):
         st = init_state(canonical_problem, flat_params(), seed=0,
                         x0=np.array([1.0]))
-        inner_z_step(st, canonical_problem, flat_params())
+        inner_z_step(st, canonical_problem)
         assert st.z == pytest.approx(0.5, abs=1e-15)
 
     def test_inner_y_step_frozen(self, canonical_problem):
         p = flat_params()
         st = init_state(canonical_problem, p, seed=0, x0=np.array([1.0]))
-        inner_y_step(st, canonical_problem, p)
+        inner_y_step(st, canonical_problem)
         # y - alpha (f_y + lambda g_y) = 0 - 0.1 (0 + 3 (0 - 1)) = 0.3
         assert st.y == pytest.approx(0.3, abs=1e-15)
 
@@ -66,7 +70,7 @@ class TestStepFormulas:
         p = flat_params()
         st = init_state(prob, p, seed=9, x0=np.array([1.0]),
                         z0=np.array([0.2]))
-        inner_z_step(st, prob, p)
+        inner_z_step(st, prob)
         # z - gamma (z - x) with no noise on the lower-level channel
         assert st.z == pytest.approx(0.2 - 0.5 * (0.2 - 1.0), abs=1e-15)
 
@@ -83,30 +87,51 @@ class TestStepFormulas:
         assert abs(float(st2.last_direction[0]) - 1.0) > 1e-6
 
 
+@pytest.fixture(params=["F2SA", "F3SA", "SOBO", "NoBO"])
+def entry_point(request, canonical, canonical_problem):
+    """(algorithm, run(K, **kw)) for each per-seed solver and baseline; the
+    cleaning-only baseline runs on a tiny cleaning instance."""
+    alg = request.param
+    if alg == "NoBO":
+        data = make_synthetic_hypercleaning(n_train=24, n_val=16,
+                                            num_classes=3, dim=4, seed=5)
+        return alg, lambda K, **kw: nobo_baseline_run(data, K, 0, **kw)
+    if alg == "SOBO":
+        return alg, lambda K, **kw: sobo_baseline_run(canonical_problem, K, 0,
+                                                      **kw)
+    if alg == "F2SA":
+        run, params = f2sa_run, tuned_params()
+    else:
+        run = f3sa_run
+        params = default_params(Algorithm.F3SA, canonical.local_constants())
+    return alg, lambda K, **kw: run(canonical_problem, params, K, 0, **kw)
+
+
 class TestRunContract:
-    def test_trace_shape_default_cadence(self, canonical_problem):
-        res = f2sa_run(canonical_problem, tuned_params(), K=100, seed=0)
+    def test_trace_shape_default_cadence(self, entry_point):
+        alg, run = entry_point
+        res = run(100)
         assert res.checkpoints[0] == 0 and res.checkpoints[-1] == 100
         assert len(res.checkpoints) == 101
         assert res.series["grad_F_sq"].shape == (101,)
-        assert res.algorithm == "F2SA"
+        assert res.algorithm == alg
 
-    def test_trace_shape_override_cadence(self, canonical_problem):
-        res = f2sa_run(canonical_problem, tuned_params(), K=100, seed=0,
-                       checkpoint_every=30)
+    def test_trace_shape_override_cadence(self, entry_point):
+        res = entry_point[1](100, checkpoint_every=30)
         assert list(res.checkpoints) == [0, 30, 60, 90]
 
-    def test_final_row_when_cadence_divides(self, canonical_problem):
-        res = f2sa_run(canonical_problem, tuned_params(), K=90, seed=0,
-                       checkpoint_every=30)
+    def test_final_row_when_cadence_divides(self, entry_point):
+        res = entry_point[1](90, checkpoint_every=30)
         assert list(res.checkpoints) == [0, 30, 60, 90]
 
-    def test_zero_budget(self, canonical_problem):
-        res = f2sa_run(canonical_problem, tuned_params(), K=0, seed=0,
-                       x0=np.array([0.7]))
+    def test_zero_budget(self, entry_point):
+        alg, run = entry_point
+        # the cleaning-only baseline takes no starting point
+        res = run(0) if alg == "NoBO" else run(0, x0=np.array([0.7]))
         assert res.checkpoints.size == 0
         assert res.x_R is None and res.R == 0
-        assert res.x_final == pytest.approx(0.7)
+        if alg != "NoBO":
+            assert res.x_final == pytest.approx(0.7)
 
     def test_negative_budget_rejected(self, canonical_problem):
         with pytest.raises(InvalidArgumentError):

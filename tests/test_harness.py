@@ -167,6 +167,15 @@ class TestTrace:
         # no momentum weight in the double-loop solver: blank -> NaN
         assert np.isnan(out["eta"]).all()
         assert np.isnan(out["train_loss"]).all()
+        # the reader and as_trace_arrays read the writer's column table: the
+        # same keys, and every column equal, blanks included
+        arrays = as_trace_arrays(offset_run)
+        assert set(out) == set(arrays)
+        for name, value in arrays.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(out[name], value, equal_nan=True), name
+            else:
+                assert out[name] == value, name
 
     def test_header_matches_column_order(self, tmp_path, offset_run):
         path = tmp_path / "trace.csv"
@@ -400,6 +409,32 @@ class TestRunExperiment:
         assert summary["aggregate"] == {}
         assert not list(out.glob("trace_*.csv"))
         assert (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("algorithm, failed_at", [("F2SA", 15),
+                                                      ("F3SA", 20)])
+    def test_failure_between_checkpoints_keeps_partial_trace(
+            self, tmp_path, algorithm, failed_at):
+        # the iterates turn non-finite inside a step long before the next
+        # checkpoint guard; the k = 0 row must still reach the partial trace
+        sched = ScheduleParams(
+            algorithm=Algorithm[algorithm],
+            noise_regime=NoiseRegime.DETERMINISTIC, a=0.0, c=0.0, k0=1,
+            lambda0=2.0, xi=1.0, T=1, c_alpha=1e9, c_gamma=1e10, mu_g=1.0)
+        out = tmp_path / "exp"
+        cfg = config_from_dict(base_config(
+            out, algorithm=algorithm, schedule=sched.to_dict(), K=1000,
+            checkpoint_every=500, check_constants=False, seeds=[0]))
+        with pytest.warns(RuntimeWarning, match="step-size conditions"):
+            summary = run_experiment(cfg)
+        entry = summary["seeds"][0]
+        assert entry["status"] == "numeric-failure"
+        assert "non-finite" in entry["error"]
+        assert entry["error_context"]["k"] == failed_at
+        path = out / f"partial_{algorithm}_seed0.csv"
+        assert entry["partial_trace"] == str(path)
+        partial = read_trace(path)
+        assert partial["algorithm"] == algorithm
+        assert list(partial["k"]) == [0]
 
     def test_nobo_needs_a_cleaning_problem(self, tmp_path):
         cfg = config_from_dict(base_config(
