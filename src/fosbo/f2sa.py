@@ -129,8 +129,8 @@ def f2sa_step(state: SolverState, problem: BilevelProblem,
         inner_z_step(state, problem, batch_size)
         inner_y_step(state, problem, batch_size)
     outer_x_step(state, problem, params, batch_size, share_x_token)
-    if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.y))
-            and np.all(np.isfinite(state.z))):
+    if not (np.isfinite(state.x).all() and np.isfinite(state.y).all()
+            and np.isfinite(state.z).all()):
         raise NumericFailure("outer step produced non-finite iterates",
                              k=state.k)
     state.schedule = advance(state.schedule, params)

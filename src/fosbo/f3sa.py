@@ -105,8 +105,8 @@ def f3sa_step(state: SolverState, mom: MomentumState, problem: BilevelProblem,
         h_fx, h_gxy, h_gxz = f_fx, f_gxy, f_gxz
     direction = h_fx + lam * (h_gxy - h_gxz)
     x_new = x - params.xi * s.alpha_k * direction
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))
-            and np.all(np.isfinite(z_new))):
+    if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()
+            and np.isfinite(z_new).all()):
         raise NumericFailure("momentum step produced non-finite iterates",
                              k=state.k)
 

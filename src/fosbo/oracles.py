@@ -43,13 +43,10 @@ class NoiseRegime(enum.Enum):
     UPPER_ONLY = "UpperOnly"
     DETERMINISTIC = "Deterministic"
 
-    @property
-    def f_noisy(self) -> bool:
-        return self is not NoiseRegime.DETERMINISTIC
-
-    @property
-    def g_noisy(self) -> bool:
-        return self is NoiseRegime.BOTH_NOISY
+    def __init__(self, value: str):
+        # plain attributes, not properties: solvers read them per oracle call
+        self.f_noisy = value != "Deterministic"
+        self.g_noisy = value == "BothNoisy"
 
 
 @dataclass(frozen=True)

@@ -218,9 +218,14 @@ def hypercleaning_oracles(data: HypercleaningProblem,
         W = y.reshape(C, d)
         P, _ = _softmax_ce(W, Xt, yt)
         w = _sigmoid(x) / n
-        S = np.einsum("ia,ab->iab", P, np.eye(C)) - P[:, :, None] * P[:, None, :]
-        H = np.einsum("i,iab,ic,ie->acbe", w, S, Xt, Xt).reshape(C * d, C * d)
-        return H + 2.0 * reg * np.eye(C * d)
+        # block (a, b) of sum_i w_i (diag(p_i) - p_i p_i') kron x_i x_i' is
+        # (X v)' X with v_i = w_i P_ia ([a = b] - P_ib): one matmul per block
+        H = 2.0 * reg * np.eye(C * d)
+        for a in range(C):
+            for b in range(C):
+                v = w * P[:, a] * ((a == b) - P[:, b])
+                H[a * d:(a + 1) * d, b * d:(b + 1) * d] += (Xt * v[:, None]).T @ Xt
+        return H
 
     def jac_g_xy(x, y):
         W = y.reshape(C, d)

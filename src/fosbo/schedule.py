@@ -131,13 +131,15 @@ class ScheduleParams:
         return 1.0 if k <= 1 else (k + 1.0) ** (-2.0 * self.c)
 
     def delta_at(self, k: int, lambda_k: float) -> float:
-        """Multiplier increment applied when leaving step k.
+        """Multiplier increment applied when leaving step k."""
+        return self._capped_delta(self._scalar_step(k)[0], lambda_k,
+                                  self._scalar_step(k + 1)[2])
 
-        The second candidate uses the step-(k+1) ratio so that adding it
-        lands the multiplier exactly on the target ratio at k+1.
-        """
-        alpha_k = self._scalar_step(k)[0]
-        catch_up = self._scalar_step(k + 1)[2] - lambda_k
+    def _capped_delta(self, alpha_k: float, lambda_k: float,
+                      target_next: float) -> float:
+        """Catch-up from lambda_k to the step-(k+1) ratio ``target_next``,
+        capped for F2SA at (T mu_g / 16) alpha_k lambda_k^2, floored at 0."""
+        catch_up = target_next - lambda_k
         if self.algorithm is Algorithm.F2SA:
             cap = (self.T * self.mu_g / 16.0) * alpha_k * lambda_k**2
             return max(0.0, min(cap, catch_up))
@@ -258,8 +260,9 @@ def advance(state: ScheduleState, params: ScheduleParams) -> ScheduleState:
     k1 = state.k + 1
     lam = state.lambda_k + state.delta_k
     alpha, gamma, _ = params._scalar_step(k1)
+    delta = params._capped_delta(alpha, lam, params._scalar_step(k1 + 1)[2])
     return ScheduleState(k=k1, lambda_k=lam, alpha_k=alpha, gamma_k=gamma,
-                         beta_k=alpha * lam, delta_k=params.delta_at(k1, lam),
+                         beta_k=alpha * lam, delta_k=delta,
                          eta_k=params._scalar_eta(k1) if params.algorithm is Algorithm.F3SA else None)
 
 
@@ -276,23 +279,14 @@ def run_schedule(params: ScheduleParams, K: int) -> dict[str, np.ndarray]:
     lam = np.empty(K)
     delta = np.empty(K)
     lam_k = params.lambda0
-    f2sa = params.algorithm is Algorithm.F2SA
-    cap_coeff = params.T * params.mu_g / 16.0
-    step = params._scalar_step
+    step, capped_delta = params._scalar_step, params._capped_delta
     a_k, g_k, _ = step(0) if K else (0.0, 0.0, 0.0)
     for k in range(K):
         alpha[k] = a_k
         gamma[k] = g_k
         lam[k] = lam_k
         a_next, g_next, target_next = step(k + 1)
-        d = target_next - lam_k
-        if f2sa:
-            cap = cap_coeff * a_k * lam_k**2
-            if cap < d:
-                d = cap
-        if d < 0.0:
-            d = 0.0
-        delta[k] = d
+        delta[k] = d = capped_delta(a_k, lam_k, target_next)
         lam_k += d
         a_k, g_k = a_next, g_next
     out = {"k": ks, "lambda": lam, "delta": delta, "alpha": alpha,

@@ -153,6 +153,22 @@ class TestRunContract:
         assert np.isfinite(seen[0][1]["proxy_sq"])
 
 
+class TestOracleCounts:
+    def test_calls_and_tokens_per_channel(self, canonical, counted_oracles):
+        # per outer step: T z steps (gy) and T y steps (fy, gy) on fresh
+        # tokens, then fx and two gx calls on three more: 3T + 3 tokens
+        prob, calls, keys = counted_oracles(
+            canonical.to_problem(sigma_f=0.2, sigma_g=0.2))
+        p = tuned_params()
+        T, K = p.T, 6
+        f2sa_run(prob, p, K=K, seed=0, x0=np.array([1.0]), checkpoint_every=2)
+        assert calls == {("gy", "token"): 2 * T * K, ("fy", "token"): T * K,
+                         ("fx", "token"): K, ("gx", "token"): 2 * K}
+        assert {ch: len(k) for ch, k in keys.items()} == {
+            "gy": 2 * T * K, "fy": T * K, "fx": K, "gx": 2 * K}
+        assert len(set().union(*keys.values())) == (3 * T + 3) * K
+
+
 class TestDeterminism:
     def test_replay_bitwise(self, canonical):
         prob = canonical.to_problem(sigma_f=0.2, sigma_g=0.2)

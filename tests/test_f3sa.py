@@ -8,7 +8,8 @@ from fosbo.errors import InvalidArgumentError
 from fosbo.f2sa import f2sa_run, init_state
 from fosbo.f3sa import MomentumState, f3sa_run, f3sa_step, momentum_update
 from fosbo.oracles import NoiseRegime
-from fosbo.schedule import Algorithm, ScheduleParams, default_params
+from fosbo.schedule import (Algorithm, ScheduleParams, default_params,
+                            run_schedule)
 
 
 def frozen_lambda_params(algorithm, c_alpha=0.005, c_gamma=0.02,
@@ -86,6 +87,29 @@ class TestStep:
         p = frozen_lambda_params(Algorithm.F2SA)
         with pytest.raises(InvalidArgumentError):
             f3sa_run(canonical_problem, p, K=5, seed=0)
+
+
+class TestOracleCounts:
+    def test_calls_and_tokens_per_channel(self, canonical, counted_oracles):
+        # every step: six fresh evaluations on five tokens (the three gx-side
+        # g calls share one); steps with eta < 1 add six previous-point calls
+        # on the same tokens; each checkpoint row inside the loop adds one
+        # exact gy call for the estimator error
+        prob, calls, keys = counted_oracles(
+            canonical.to_problem(sigma_f=0.2, sigma_g=0.2))
+        p = default_params(Algorithm.F3SA, canonical.local_constants(),
+                           NoiseRegime.BOTH_NOISY)
+        K, every = 20, 6
+        f3sa_run(prob, p, K, 0, x0=np.array([1.0]), checkpoint_every=every)
+        m = int(np.count_nonzero(run_schedule(p, K)["eta"][1:] < 1.0))
+        assert m == K - 2  # eta is forced to 1 on the first two steps
+        assert calls == {("gy", "token"): 2 * K + 2 * m,
+                         ("gy", "exact"): len(range(0, K, every)),
+                         ("fy", "token"): K + m, ("fx", "token"): K + m,
+                         ("gx", "token"): 2 * K + 2 * m}
+        assert {ch: len(k) for ch, k in keys.items()} == {
+            "gy": 2 * K, "fy": K, "fx": K, "gx": K}
+        assert len(set().union(*keys.values())) == 5 * K
 
 
 class TestReduction:

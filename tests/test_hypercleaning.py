@@ -128,6 +128,28 @@ class TestOracleExactness:
                    - prob.grad_g_y(x - e, y, None)) / (2 * h)
             assert np.allclose(J[i], row, atol=1e-6)
 
+    @pytest.mark.parametrize("shape", [(24, 3, 4), (300, 4, 16)])
+    def test_hessian_matches_einsum(self, shape):
+        n, C, d = shape
+        data = make_synthetic_hypercleaning(n_train=n, n_val=16,
+                                            num_classes=C, dim=d, seed=8)
+        prob = hypercleaning_oracles(data, batch_size=8)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=n)
+        y = rng.normal(0, 0.3, size=C * d)
+        # sum_i w_i (diag(p_i) - p_i p_i') kron x_i x_i' + 2 reg I, written
+        # out per index
+        logits = data.X_train @ y.reshape(C, d).T
+        P = np.exp(logits - logits.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        w = 1.0 / (1.0 + np.exp(-x)) / n
+        S = np.einsum("ia,ab->iab", P, np.eye(C)) - P[:, :, None] * P[:, None, :]
+        want = np.einsum("i,iab,ic,ie->acbe", w, S, data.X_train,
+                         data.X_train).reshape(C * d, C * d)
+        want += 2.0 * data.reg * np.eye(C * d)
+        got = prob.second_order.hess_g_yy(x, y)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_curvature_floor(self, tiny):
         prob = hypercleaning_oracles(tiny, batch_size=8)
         rng = np.random.default_rng(4)

@@ -177,3 +177,43 @@ class TestProblemWrapping:
         assert np.allclose(solve_lower_level(prob, x), q.y_star(x), atol=1e-12)
         assert np.allclose(solve_penalized(prob, x, 6.0),
                            q.y_star_lambda(x, 6.0), atol=1e-12)
+
+
+# The exact oracles written with ``@``: the package writes them with
+# ``ndarray.dot`` and must match these bit for bit.
+MATMUL_FORMULAS = {
+    "grad_f_x": lambda q, x, y: q.B_f @ x + q.C_f @ y + q.a_f,
+    "grad_f_y": lambda q, x, y: q.A_f @ y + q.C_f.T @ x + q.b_f,
+    "grad_g_x": lambda q, x, y: -(q.P.T @ (q.A_g @ (y - q.P @ x - q.p))),
+    "grad_g_y": lambda q, x, y: q.A_g @ (y - q.P @ x - q.p),
+}
+
+
+@pytest.mark.parametrize(
+    "quad", list(builtin_zoo().values())
+    + [make_quadratic(dims, seed=0) for dims in ((1, 1), (2, 3), (8, 8))],
+    ids=lambda q: q.name)
+class TestExactOraclesBitwise:
+    def test_exact_oracles_equal_matmul_formulas(self, quad):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            x = 3.0 * rng.standard_normal(quad.dim_x)
+            y = 3.0 * rng.standard_normal(quad.dim_y)
+            for attr, formula in MATMUL_FORMULAS.items():
+                got = getattr(quad, attr + "_exact")(x, y)
+                assert got.tobytes() == formula(quad, x, y).tobytes(), attr
+
+    def test_noise_free_channels_take_a_token(self, quad):
+        rng = np.random.default_rng(22)
+        tok = draw_token(rng)
+        # upper-only noise leaves the g channels noise-free
+        for prob, exact in ((quad.to_problem(), MATMUL_FORMULAS),
+                            (quad.to_problem(sigma_f=0.3),
+                             ("grad_g_x", "grad_g_y"))):
+            for _ in range(20):
+                x = rng.standard_normal(quad.dim_x)
+                y = rng.standard_normal(quad.dim_y)
+                for attr in exact:
+                    got = getattr(prob, attr)(x, y, tok)
+                    want = getattr(quad, attr + "_exact")(x, y)
+                    assert got.tobytes() == want.tobytes(), attr
