@@ -26,7 +26,6 @@ from .oracles import (
     SampleToken,
     SecondOrderOracle,
     draw_token,
-    eval_grad,
     gaussian_noise,
 )
 from .reference import (
@@ -47,9 +46,7 @@ from .schedule import (
     ScheduleState,
     advance,
     check_sweep,
-    check_theorem_conditions,
     default_params,
-    first_eta_admissible_k,
     make_schedule,
     run_schedule,
 )
@@ -79,10 +76,8 @@ __all__ = [
     "advance",
     "bias_bound_check",
     "check_sweep",
-    "check_theorem_conditions",
     "default_params",
     "draw_token",
-    "eval_grad",
     "exact_hypergradient",
     "f2sa_run",
     "f2sa_run_batch",
@@ -91,7 +86,6 @@ __all__ = [
     "f3sa_run_batch",
     "f3sa_step",
     "finite_difference_grad",
-    "first_eta_admissible_k",
     "gaussian_noise",
     "hyper_objective",
     "init_state",

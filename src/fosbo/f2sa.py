@@ -19,11 +19,11 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailure
-from .oracles import BilevelProblem, SampleToken, Vector, draw_token
+from .oracles import BilevelProblem, Vector, draw_token
 from .reference import Diagnostics
 from .runs import RunResult, drive
 from .schedule import (Algorithm, ScheduleParams, ScheduleState, advance,
-                       check_theorem_conditions, make_schedule)
+                       check_sweep, make_schedule)
 
 
 @dataclass
@@ -63,14 +63,10 @@ def init_state(problem: BilevelProblem, params: ScheduleParams, seed: int,
     return SolverState(x=x, y=y, z=z, schedule=schedule, k=0, rng=rng, R=R)
 
 
-def _maybe_token(state: SolverState, noisy: bool, batch_size: int) -> SampleToken | None:
-    return draw_token(state.rng, batch_size) if noisy else None
-
-
 def inner_z_step(state: SolverState, problem: BilevelProblem,
                  batch_size: int = 1) -> Vector:
     """One tracking step for the lower-level minimizer: z -= gamma_k * grad_g_y."""
-    tok = _maybe_token(state, problem.noise_regime.g_noisy, batch_size)
+    tok = draw_token(state.rng, batch_size) if problem.noise_regime.g_noisy else None
     z = state.z - state.schedule.gamma_k * problem.grad_g_y(state.x, state.z, tok)
     state.z = z
     return z
@@ -84,8 +80,8 @@ def inner_y_step(state: SolverState, problem: BilevelProblem,
     """
     s = state.schedule
     nr = problem.noise_regime
-    tf = _maybe_token(state, nr.f_noisy, batch_size)
-    tg = _maybe_token(state, nr.g_noisy, batch_size)
+    tf = draw_token(state.rng, batch_size) if nr.f_noisy else None
+    tg = draw_token(state.rng, batch_size) if nr.g_noisy else None
     y = state.y - s.alpha_k * (problem.grad_f_y(state.x, state.y, tf)
                                + s.lambda_k * problem.grad_g_y(state.x, state.y, tg))
     state.y = y
@@ -103,9 +99,10 @@ def outer_x_step(state: SolverState, problem: BilevelProblem,
     """
     s = state.schedule
     nr = problem.noise_regime
-    tfx = _maybe_token(state, nr.f_noisy, batch_size)
-    tg1 = _maybe_token(state, nr.g_noisy, batch_size)
-    tg2 = tg1 if share_x_token else _maybe_token(state, nr.g_noisy, batch_size)
+    tfx = draw_token(state.rng, batch_size) if nr.f_noisy else None
+    tg1 = draw_token(state.rng, batch_size) if nr.g_noisy else None
+    tg2 = tg1 if share_x_token or not nr.g_noisy \
+        else draw_token(state.rng, batch_size)
     direction = (problem.grad_f_x(state.x, state.y, tfx)
                  + s.lambda_k * (problem.grad_g_x(state.x, state.y, tg1)
                                  - problem.grad_g_x(state.x, state.z, tg2)))
@@ -138,11 +135,11 @@ def f2sa_step(state: SolverState, problem: BilevelProblem,
     return state
 
 
-def warn_condition_violations(params: ScheduleParams, problem: BilevelProblem,
-                              state: ScheduleState) -> list[str]:
-    """Emit a warning naming each violated step-size condition (non-fatal so
-    ablation runs stay possible)."""
-    violations = check_theorem_conditions(state, params, problem.constants)
+def warn_condition_violations(params: ScheduleParams,
+                              problem: BilevelProblem) -> list[str]:
+    """Emit a warning naming each step-size condition violated at k=0
+    (non-fatal so ablation runs stay possible)."""
+    violations = list(check_sweep(params, problem.constants, 1))
     if violations:
         warnings.warn(
             "schedule violates step-size conditions at k=0: "
@@ -160,7 +157,7 @@ def _solver_run(algorithm: str, problem: BilevelProblem,
     t_start = time.perf_counter()
     state = init_state(problem, params, seed, x0, y0, z0, K=K,
                        check_constants=check_constants)
-    warn_condition_violations(params, problem, state.schedule)
+    warn_condition_violations(params, problem)
     diag = Diagnostics(problem, grad_mode)
 
     def row() -> dict:

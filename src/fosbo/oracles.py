@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericFailure
+from .errors import InvalidArgumentError
 
 Vector = np.ndarray
 
@@ -32,8 +32,6 @@ Vector = np.ndarray
 # the same token draw from independent streams, while the two g-channel
 # evaluations that share a token (momentum pairs) see identical noise.
 _CHANNEL_ID = {"fx": 0x1F_A1, "fy": 0x2F_B3, "gx": 0x3F_C5, "gy": 0x4F_D7}
-
-_VALID_CHANNELS = ("fx", "fy", "gx", "gy")
 
 
 class NoiseRegime(enum.Enum):
@@ -252,36 +250,3 @@ class BilevelProblem:
     analytics: object | None = None
     second_order: object | None = None
     name: str = "problem"
-
-
-def eval_grad(problem: BilevelProblem, which: str, x: Vector, y: Vector,
-              token: SampleToken | None = None) -> Vector:
-    """Checked oracle evaluation.
-
-    ``which`` selects the channel: "fx", "fy", "gx" or "gy".  Dimension
-    mismatches raise InvalidArgumentError; non-finite outputs raise
-    NumericFailure with the evaluation context attached.
-    """
-    if which not in _VALID_CHANNELS:
-        raise InvalidArgumentError(
-            f"unknown gradient channel {which!r}, expected one of {_VALID_CHANNELS}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (problem.dim_x,):
-        raise InvalidArgumentError(
-            f"x has shape {x.shape}, problem expects ({problem.dim_x},)")
-    if y.shape != (problem.dim_y,):
-        raise InvalidArgumentError(
-            f"y has shape {y.shape}, problem expects ({problem.dim_y},)")
-    oracle = getattr(problem, {"fx": "grad_f_x", "fy": "grad_f_y",
-                               "gx": "grad_g_x", "gy": "grad_g_y"}[which])
-    out = oracle(x, y, token)
-    expected = problem.dim_x if which in ("fx", "gx") else problem.dim_y
-    if out.shape != (expected,):
-        raise InvalidArgumentError(
-            f"oracle {which} returned shape {out.shape}, expected ({expected},)")
-    if not np.all(np.isfinite(out)):
-        raise NumericFailure(
-            f"oracle {which} returned non-finite values", which=which,
-            x=x.copy(), y=y.copy(), token=token)
-    return out

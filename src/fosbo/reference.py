@@ -143,23 +143,6 @@ def finite_difference_grad(scalar_map: Callable[[Vector], float], x: Vector,
     return out
 
 
-def box_grid_max(func: Callable[[Vector], float],
-                 box: tuple[np.ndarray, np.ndarray],
-                 points_per_dim: int = 33) -> tuple[float, Vector]:
-    """Maximize func over a dense grid on a box (3 dims at most)."""
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    if len(lo) > 3:
-        raise InvalidArgumentError("grid maximization supports at most 3 dims")
-    axes = [np.linspace(lo[i], hi[i], points_per_dim) for i in range(len(lo))]
-    best_val = -math.inf
-    best_pt = lo.copy()
-    for pt in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo)):
-        v = float(func(pt))
-        if v > best_val:
-            best_val, best_pt = v, pt
-    return best_val, best_pt
-
-
 class Diagnostics:
     """Checkpoint-time evaluator shared by all run loops.
 

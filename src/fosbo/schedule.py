@@ -89,31 +89,7 @@ class ScheduleParams:
             raise InvalidArgumentError(
                 f"eta_override must lie in (0, 1], got {self.eta_override}")
 
-    # ---- closed-form laws (k may be an integer or an array) ----
-
-    def alpha_at(self, k):
-        return self.c_alpha / (np.asarray(k, dtype=float) + self.k0) ** self.a
-
-    def gamma_at(self, k):
-        return self.c_gamma / (np.asarray(k, dtype=float) + self.k0) ** self.c
-
-    def lambda_target(self, k):
-        """The ratio the multiplier tracks: gamma/(2 alpha) for F2SA,
-        gamma/alpha for F3SA."""
-        ratio = self.gamma_at(k) / self.alpha_at(k)
-        return ratio / 2.0 if self.algorithm is Algorithm.F2SA else ratio
-
-    def eta_at(self, k):
-        k = np.asarray(k, dtype=float)
-        if self.eta_override is not None:
-            return np.full_like(k, self.eta_override) if k.ndim else float(self.eta_override)
-        out = np.where(k <= 1.0, 1.0, (k + 1.0) ** (-2.0 * self.c))
-        return out if k.ndim else float(out)
-
-    # Incremental iteration (advance, run_schedule) goes through the plain
-    # float helpers below.  numpy's vectorized power can differ from the
-    # scalar path by one ulp, which would break bitwise agreement between
-    # the per-step and whole-run schedules that the solvers rely on.
+    # The laws are plain-float only, so advance and run_schedule agree bitwise.
 
     def _scalar_step(self, k: int) -> tuple[float, float, float]:
         """(alpha_k, gamma_k, target_k) computed with Python-float pow."""
@@ -129,11 +105,6 @@ class ScheduleParams:
         if self.eta_override is not None:
             return float(self.eta_override)
         return 1.0 if k <= 1 else (k + 1.0) ** (-2.0 * self.c)
-
-    def delta_at(self, k: int, lambda_k: float) -> float:
-        """Multiplier increment applied when leaving step k."""
-        return self._capped_delta(self._scalar_step(k)[0], lambda_k,
-                                  self._scalar_step(k + 1)[2])
 
     def _capped_delta(self, alpha_k: float, lambda_k: float,
                       target_next: float) -> float:
@@ -243,27 +214,26 @@ def make_schedule(params: ScheduleParams,
     if constants is not None and params.lambda0 < constants.lambda_min * (1 - 1e-12):
         raise PreconditionViolation(
             f"lambda0 = {params.lambda0} is below 2 l_f1 / mu_g = {constants.lambda_min}")
-    alpha0, gamma0, _ = params._scalar_step(0)
-    beta0 = alpha0 * params.lambda0
-    if beta0 > gamma0 * (1 + 1e-12):
+    state = _state_at(params, 0, params.lambda0)
+    if state.beta_k > state.gamma_k * (1 + 1e-12):
         raise PreconditionViolation(
-            f"beta_0 = {beta0} exceeds gamma_0 = {gamma0}; "
+            f"beta_0 = {state.beta_k} exceeds gamma_0 = {state.gamma_k}; "
             "the effective y step must not outrun the z step")
-    return ScheduleState(k=0, lambda_k=params.lambda0, alpha_k=alpha0,
-                         gamma_k=gamma0, beta_k=beta0,
-                         delta_k=params.delta_at(0, params.lambda0),
-                         eta_k=params._scalar_eta(0) if params.algorithm is Algorithm.F3SA else None)
+    return state
 
 
 def advance(state: ScheduleState, params: ScheduleParams) -> ScheduleState:
     """Move the schedule from step k to step k+1 (total on valid states)."""
-    k1 = state.k + 1
-    lam = state.lambda_k + state.delta_k
-    alpha, gamma, _ = params._scalar_step(k1)
-    delta = params._capped_delta(alpha, lam, params._scalar_step(k1 + 1)[2])
-    return ScheduleState(k=k1, lambda_k=lam, alpha_k=alpha, gamma_k=gamma,
-                         beta_k=alpha * lam, delta_k=delta,
-                         eta_k=params._scalar_eta(k1) if params.algorithm is Algorithm.F3SA else None)
+    return _state_at(params, state.k + 1, state.lambda_k + state.delta_k)
+
+
+def _state_at(params: ScheduleParams, k: int, lambda_k: float) -> ScheduleState:
+    """The schedule values at step k, given the multiplier lambda_k."""
+    alpha, gamma, _ = params._scalar_step(k)
+    delta = params._capped_delta(alpha, lambda_k, params._scalar_step(k + 1)[2])
+    return ScheduleState(k=k, lambda_k=lambda_k, alpha_k=alpha, gamma_k=gamma,
+                         beta_k=alpha * lambda_k, delta_k=delta,
+                         eta_k=params._scalar_eta(k) if params.algorithm is Algorithm.F3SA else None)
 
 
 def run_schedule(params: ScheduleParams, K: int) -> dict[str, np.ndarray]:
@@ -296,93 +266,14 @@ def run_schedule(params: ScheduleParams, K: int) -> dict[str, np.ndarray]:
     return out
 
 
-def check_theorem_conditions(state: ScheduleState, params: ScheduleParams,
-                             constants: RegularityConstants) -> list[str]:
-    """Named violations of the step-size conditions at one state.
-
-    Empty list means every inequality required by the convergence analysis
-    holds at this step.  Callers treat violations as warnings so ablation
-    runs remain possible.
-    """
-    cons = constants
-    tol = 1.0 + _REL_TOL
-    out: list[str] = []
-    if params.lambda0 < cons.lambda_min * (1 - _REL_TOL):
-        out.append("lambda0_below_threshold")
-    if state.beta_k > state.gamma_k * tol:
-        out.append("beta_exceeds_gamma")
-
-    if params.algorithm is Algorithm.F2SA:
-        if state.gamma_k > tol / (4.0 * cons.l_g1):
-            out.append("gamma_exceeds_quarter_inv_lg1")
-        if state.gamma_k > tol / (4.0 * params.T * params.mu_g):
-            out.append("gamma_exceeds_quarter_inv_Tmu")
-        if cons.l_f1 > 0 and state.alpha_k > tol / (8.0 * cons.l_f1):
-            out.append("alpha_exceeds_eighth_inv_lf1")
-        if cons.l_F1 > 0 and state.alpha_k > tol / (2.0 * params.xi * cons.l_F1):
-            out.append("alpha_exceeds_half_inv_xi_lF1")
-        cap = params.c_xi * params.mu_g / max(cons.l_g1 * cons.l_star0**2,
-                                              cons.l_star1 * math.sqrt(cons.M))
-        if params.xi / params.T >= cap * tol:
-            out.append("xi_over_T_too_large")
-        if state.delta_k > (params.T * params.mu_g / 16.0) * state.beta_k * state.lambda_k * tol:
-            out.append("delta_exceeds_T_mu_beta_lambda_over_16")
-    else:
-        if state.gamma_k > tol / (16.0 * cons.l_g1):
-            out.append("gamma_exceeds_sixteenth_inv_lg1")
-        if cons.l_F1 > 0 and params.xi * state.alpha_k > tol / cons.l_F1:
-            out.append("xi_alpha_exceeds_inv_lF1")
-        if params.xi > tol * params.c_xi * params.mu_g / (cons.l_g1 * cons.l_star0**2):
-            out.append("xi_exceeds_momentum_bound")
-        if state.delta_k > (params.mu_g / 8.0) * state.beta_k * state.lambda_k * tol:
-            out.append("delta_exceeds_mu_beta_lambda_over_8")
-        out.extend(_eta_violations(state.k, params, cons))
-    return out
-
-
-def _eta_violations(k: int, params: ScheduleParams, cons: RegularityConstants) -> list[str]:
-    out: list[str] = []
-    tol = 1.0 + _REL_TOL
-    if k == 0:
-        if float(params.eta_at(0)) != 1.0 or float(params.eta_at(1)) != 1.0:
-            out.append("eta_first_two_steps_not_one")
-        return out
-    eta_next = float(params.eta_at(k + 1))
-    if eta_next > tol:
-        out.append("eta_above_one")
-    gamma_prev = float(params.gamma_at(k - 1))
-    gamma_k = float(params.gamma_at(k))
-    lower = max(2.0 * (gamma_prev - gamma_k) / gamma_prev,
-                params.c_eta * cons.l_g1**3 / params.mu_g * gamma_k**2)
-    if eta_next * tol < lower:
-        out.append("eta_below_window")
-    return out
-
-
-def first_eta_admissible_k(params: ScheduleParams, constants: RegularityConstants,
-                           k_max: int = 100_000) -> int | None:
-    """Smallest k1 such that the momentum-weight window holds for every
-    k in [k1, k_max]; None if it never stabilizes within the horizon."""
-    ks = np.arange(1, k_max)
-    eta_next = np.atleast_1d(params.eta_at(ks + 1))
-    g_prev = params.gamma_at(ks - 1)
-    g_k = params.gamma_at(ks)
-    lower = np.maximum(2.0 * (g_prev - g_k) / g_prev,
-                       params.c_eta * constants.l_g1**3 / params.mu_g * g_k**2)
-    ok = (eta_next * (1 + _REL_TOL) >= lower) & (eta_next <= 1 + _REL_TOL)
-    if not ok[-1]:
-        return None
-    # last index where the window fails, +1; admissible from there onward
-    bad = np.nonzero(~ok)[0]
-    return int(ks[bad[-1]] + 1) if bad.size else 0
-
-
 def check_sweep(params: ScheduleParams, constants: RegularityConstants,
                 K: int) -> dict[str, int]:
-    """Run the schedule K steps and report each violation with the first k at
-    which it occurs (empty dict: all conditions hold everywhere).
+    """Run the schedule K steps and report each step-size condition that
+    fails, with the first k at which it does.
 
-    Vectorized version of :func:`check_theorem_conditions` over a whole run.
+    An empty dict means every inequality the convergence analysis requires
+    holds at every step k < K; ``K = 1`` checks step 0 alone.  Callers treat
+    violations as warnings so ablation runs remain possible.
     """
     cons = constants
     tol = 1.0 + _REL_TOL
@@ -420,16 +311,13 @@ def check_sweep(params: ScheduleParams, constants: RegularityConstants,
             found["xi_exceeds_momentum_bound"] = 0
         record("delta_exceeds_mu_beta_lambda_over_8",
                delta > (params.mu_g / 8.0) * beta * lam * tol)
-        if float(params.eta_at(0)) != 1.0 or float(params.eta_at(1)) != 1.0:
+        if params._scalar_eta(0) != 1.0 or params._scalar_eta(1) != 1.0:
             found["eta_first_two_steps_not_one"] = 0
         ks = np.arange(1, K)
-        eta_next = np.atleast_1d(params.eta_at(ks + 1))
+        eta_next = np.array([params._scalar_eta(k + 1) for k in range(1, K)])
         lower = np.maximum(2.0 * (gamma[ks - 1] - gamma[ks]) / gamma[ks - 1],
                            params.c_eta * cons.l_g1**3 / params.mu_g * gamma[ks]**2)
         bad = np.nonzero(eta_next * tol < lower)[0]
         if bad.size:
             found["eta_below_window"] = int(ks[bad[0]])
-        bad = np.nonzero(eta_next > tol)[0]
-        if bad.size:
-            found["eta_above_one"] = int(ks[bad[0]])
     return found

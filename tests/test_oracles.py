@@ -6,10 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from fosbo.errors import InvalidArgumentError, NumericFailure
-from fosbo.oracles import (BilevelProblem, NoiseRegime, RegularityConstants,
-                           SampleToken, draw_token, eval_grad, gaussian_noise,
-                           token_rng)
+from fosbo.errors import InvalidArgumentError
+from fosbo.oracles import (NoiseRegime, RegularityConstants, draw_token,
+                           gaussian_noise, token_rng)
 
 
 class TestTokens:
@@ -184,40 +183,18 @@ class TestEvalGrad:
     def test_frozen_values(self, canonical_problem):
         p = canonical_problem
         x1, y2 = np.array([1.0]), np.array([2.0])
-        assert eval_grad(p, "fy", x1, y2)[0] == pytest.approx(2.0)
-        assert eval_grad(p, "gy", x1, np.array([1.0]))[0] == pytest.approx(0.0)
-        assert eval_grad(p, "gy", np.array([0.5]), y2)[0] == pytest.approx(1.5)
-        assert eval_grad(p, "fx", x1, y2)[0] == pytest.approx(1.0)
-        assert eval_grad(p, "gx", x1, y2)[0] == pytest.approx(-1.0)
-
-    def test_bad_channel(self, canonical_problem):
-        with pytest.raises(InvalidArgumentError):
-            eval_grad(canonical_problem, "zz", np.array([0.0]), np.array([0.0]))
-
-    def test_bad_shape(self, canonical_problem):
-        with pytest.raises(InvalidArgumentError):
-            eval_grad(canonical_problem, "fy", np.array([0.0, 1.0]),
-                      np.array([0.0]))
-
-    def test_nonfinite_detected(self):
-        consts = RegularityConstants(l_f0=1, l_f1=1, l_g0=1, l_g1=1, mu_g=1)
-        bad = BilevelProblem(
-            dim_x=1, dim_y=1,
-            grad_f_x=lambda x, y, t: np.array([np.inf]),
-            grad_f_y=lambda x, y, t: np.zeros(1),
-            grad_g_x=lambda x, y, t: np.zeros(1),
-            grad_g_y=lambda x, y, t: np.zeros(1),
-            noise_regime=NoiseRegime.DETERMINISTIC, constants=consts)
-        with pytest.raises(NumericFailure) as ei:
-            eval_grad(bad, "fx", np.zeros(1), np.zeros(1))
-        assert ei.value.context["which"] == "fx"
+        assert p.grad_f_y(x1, y2, None)[0] == pytest.approx(2.0)
+        assert p.grad_g_y(x1, np.array([1.0]), None)[0] == pytest.approx(0.0)
+        assert p.grad_g_y(np.array([0.5]), y2, None)[0] == pytest.approx(1.5)
+        assert p.grad_f_x(x1, y2, None)[0] == pytest.approx(1.0)
+        assert p.grad_g_x(x1, y2, None)[0] == pytest.approx(-1.0)
 
     def test_noisy_channel_uses_token(self, canonical, rng):
         prob = canonical.to_problem(sigma_f=0.5, sigma_g=0.5)
         x, y = np.array([0.3]), np.array([-0.2])
         tok = draw_token(rng)
         exact = canonical.grad_f_y_exact(x, y)
-        noisy = eval_grad(prob, "fy", x, y, tok)
+        noisy = prob.grad_f_y(x, y, tok)
         assert not np.array_equal(noisy, exact)
-        assert np.array_equal(noisy, eval_grad(prob, "fy", x, y, tok))
-        assert np.array_equal(eval_grad(prob, "fy", x, y, None), exact)
+        assert np.array_equal(noisy, prob.grad_f_y(x, y, tok))
+        assert np.array_equal(prob.grad_f_y(x, y, None), exact)

@@ -1,8 +1,16 @@
-"""The exported names of the package and its harness."""
+"""The package's names: every exported one resolves, every imported one is
+used."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import fosbo
+
+MODULES = sorted(p for p in Path(fosbo.__file__).parent.rglob("*.py")
+                 if p.name != "__init__.py")
 
 
 @pytest.mark.parametrize("module", ["fosbo", "fosbo.harness"])
@@ -11,3 +19,19 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"imported but never used in {path.name}: {unused}"

@@ -8,7 +8,7 @@ import pytest
 
 from fosbo.errors import (InvalidArgumentError, NumericFailure,
                           PreconditionViolation)
-from fosbo.reference import (Diagnostics, bias_bound_check, box_grid_max,
+from fosbo.reference import (Diagnostics, bias_bound_check,
                              exact_hypergradient, finite_difference_grad,
                              hyper_objective, proxy_gradient,
                              sobo_baseline_run, solve_lower_level,
@@ -89,18 +89,6 @@ class TestFiniteDifferences:
         with pytest.raises(NumericFailure) as exc:
             finite_difference_grad(lambda v: math.inf, np.array([1.0, 2.0]))
         assert exc.value.context["coordinate"] == 0
-
-
-class TestGridMax:
-    def test_argmax_on_grid(self):
-        val, pt = box_grid_max(lambda v: -(float(v[0]) - 0.3) ** 2,
-                               (np.array([-1.0]), np.array([1.0])))
-        assert pt[0] == pytest.approx(0.3125, abs=1e-12)
-        assert val == pytest.approx(-(0.0125) ** 2, abs=1e-12)
-
-    def test_dimension_cap(self):
-        with pytest.raises(InvalidArgumentError):
-            box_grid_max(lambda v: 0.0, (np.zeros(4), np.ones(4)))
 
 
 class TestDiagnostics:

@@ -6,9 +6,7 @@ import pytest
 from fosbo.errors import InvalidArgumentError, PreconditionViolation
 from fosbo.oracles import NoiseRegime, RegularityConstants
 from fosbo.schedule import (Algorithm, ScheduleParams, advance, check_sweep,
-                            check_theorem_conditions, default_params,
-                            first_eta_admissible_k, make_schedule,
-                            run_schedule)
+                            default_params, make_schedule, run_schedule)
 
 CONSTS = RegularityConstants(l_f0=2.0, l_f1=1.0, l_g0=4.0, l_g1=2.0,
                              mu_g=1.0, l_lambda0=1.0)
@@ -79,7 +77,8 @@ class TestClosedFormValues:
         st1 = advance(st0, p)
         grow = st1.lambda_k - st0.lambda_k
         assert grow == pytest.approx(cap, rel=1e-12)
-        target1 = p.lambda_target(1)
+        base1 = 1 + p.k0
+        target1 = (p.c_gamma / base1 ** p.c) / (2 * p.c_alpha / base1 ** p.a)
         assert target1 - st0.lambda_k > cap  # the cap really was the binding branch
 
     def test_eta_forced_to_one_early(self):
@@ -161,35 +160,41 @@ class TestSequenceInvariants:
 class TestChecker:
     def test_clean_for_defaults(self):
         p = default_params(Algorithm.F2SA, CONSTS)
-        st = make_schedule(p, CONSTS)
-        assert check_theorem_conditions(st, p, CONSTS) == []
+        assert list(check_sweep(p, CONSTS, 1)) == []
         assert check_sweep(p, CONSTS, 100_000) == {}
 
     def test_violations_named(self):
         p = spec_example_params(c_gamma=3.0, c_alpha=1.0, lambda0=2.0)
-        st = make_schedule(p, CONSTS)
-        names = check_theorem_conditions(st, p, CONSTS)
+        names = list(check_sweep(p, CONSTS, 1))
         assert "gamma_exceeds_quarter_inv_lg1" in names
         sweep = check_sweep(p, CONSTS, 10)
         assert sweep["gamma_exceeds_quarter_inv_lg1"] == 0
 
     def test_low_lambda0_flagged_not_fatal(self):
         p = spec_example_params(lambda0=1.0)
-        st = make_schedule(p, None)
-        assert "lambda0_below_threshold" in check_theorem_conditions(st, p, CONSTS)
+        make_schedule(p, None)
+        assert "lambda0_below_threshold" in list(check_sweep(p, CONSTS, 1))
 
     def test_momentum_conditions(self):
         p = default_params(Algorithm.F3SA, CONSTS)
-        st = make_schedule(p, CONSTS)
-        assert check_theorem_conditions(st, p, CONSTS) == []
+        assert list(check_sweep(p, CONSTS, 1)) == []
         bad = default_params(Algorithm.F3SA, CONSTS, xi=1.0)
-        stb = make_schedule(bad, CONSTS)
-        assert "xi_exceeds_momentum_bound" in check_theorem_conditions(stb, bad, CONSTS)
+        assert "xi_exceeds_momentum_bound" in list(check_sweep(bad, CONSTS, 1))
 
-    def test_first_eta_admissible(self):
+    def test_eta_window(self):
         p = default_params(Algorithm.F3SA, CONSTS, c=0.0, a=1 / 3)
-        assert first_eta_admissible_k(p, CONSTS) == 0
-        p2 = default_params(Algorithm.F3SA, CONSTS, a=3 / 5, c=2 / 5,
+        assert "eta_below_window" not in check_sweep(p, CONSTS, 100_000)
+        # eta_{k+1} >= max(2 (gamma_{k-1} - gamma_k) / gamma_{k-1},
+        #                  c_eta l_g1^3 / mu_g gamma_k^2) for k >= 1
+        p2 = default_params(Algorithm.F3SA, CONSTS, c_eta=1e3,
                             noise_regime=NoiseRegime.BOTH_NOISY)
-        k_ok = first_eta_admissible_k(p2, CONSTS)
-        assert isinstance(k_ok, int) and k_ok >= 0
+        K = 2000
+        gamma = [p2.c_gamma / (k + p2.k0) ** p2.c for k in range(K)]
+        first_bad = next(
+            k for k in range(1, K)
+            if (k + 2) ** (-2 * p2.c) * (1 + 1e-9) < max(
+                2 * (gamma[k - 1] - gamma[k]) / gamma[k - 1],
+                p2.c_eta * CONSTS.l_g1**3 / p2.mu_g * gamma[k] ** 2))
+        assert 1 < first_bad < K - 1
+        assert check_sweep(p2, CONSTS, K) == {"eta_below_window": first_bad}
+        assert check_sweep(p2, CONSTS, first_bad) == {}
