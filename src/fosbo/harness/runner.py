@@ -22,6 +22,7 @@ from ..problems.hypercleaning import (HypercleaningProblem, corrupt_labels,
 from ..problems.quadratic import builtin_zoo, make_quadratic
 from ..reference import Diagnostics, sobo_baseline_run
 from ..runs import RunResult
+from ..schedule import check_sweep
 from .analysis import as_trace_arrays
 from .config import ExperimentConfig
 from .trace import write_trace_csv
@@ -128,6 +129,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all seeds, write one trace file per successful seed plus
     summary.json, and return the summary dict.
 
+    For F2SA and F3SA the summary's "condition_violations" maps each
+    step-size condition the schedule breaks within K steps to the first k
+    at which it does (``schedule.check_sweep``); {} means none.
+
     A seed that diverges is recorded as failed and does not abort the rest.
     The rows it recorded before the failure go to
     ``partial_<algorithm>_seed<seed>.csv``, named in its summary entry.
@@ -166,7 +171,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         per_seed.append(entry)
         runs.append(res)
 
-    aggregate = _aggregate(runs)
     summary = {
         "algorithm": cfg.algorithm,
         "problem": cfg.problem,
@@ -174,9 +178,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "n_seeds": len(cfg.seeds),
         "n_failed": sum(1 for e in per_seed if e["status"] != "ok"),
         "seeds": per_seed,
-        "aggregate": aggregate,
-        "wall_time_s": time.perf_counter() - t_start,
+        "aggregate": _aggregate(runs),
     }
+    if cfg.schedule is not None:
+        # the solvers warn about step 0 only; this names every condition
+        # that fails anywhere in the K-step schedule, with its first k
+        summary["condition_violations"] = check_sweep(
+            cfg.schedule, problem.constants, cfg.K)
+    summary["wall_time_s"] = time.perf_counter() - t_start
     with open(out_dir / "summary.json", "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -107,33 +107,31 @@ def make_synthetic_hypercleaning(n_train: int = 2000, n_val: int = 200,
                              num_classes=num_classes, reg=reg)
 
 
-def _softmax_ce(W: np.ndarray, X: np.ndarray,
-                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example softmax probabilities and cross-entropy losses."""
-    logits = X @ W.T
-    m = logits.max(axis=1, keepdims=True)
+# Per-example arrays are class-major, (C, n): numpy reduces slowly over a
+# short inner axis, so max and sum run over axis 0 of C long rows instead.
+def _softmax_ce(W: np.ndarray, X: np.ndarray, labels: np.ndarray,
+                cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax probabilities (C, n) and cross-entropy losses (n,);
+    ``cols`` is ``np.arange(n)``."""
+    logits = W @ X.T
+    m = logits.max(axis=0)
     ex = np.exp(logits - m)
-    Z = ex.sum(axis=1)
-    P = ex / Z[:, None]
-    losses = np.log(Z) + m[:, 0] - logits[np.arange(X.shape[0]), labels]
+    Z = ex.sum(axis=0)
+    P = ex / Z
+    losses = np.log(Z) + m - logits[labels, cols]
     return P, losses
 
 
-def _ce_grad_W(W, X, labels, weights):
+def _ce_grad_W(W, X, labels, cols, weights):
     """Weighted sum of per-example cross-entropy gradients, flattened."""
-    P, _ = _softmax_ce(W, X, labels)
-    R = P.copy()
-    R[np.arange(X.shape[0]), labels] -= 1.0
-    return ((R * weights[:, None]).T @ X).ravel()
+    R, _ = _softmax_ce(W, X, labels, cols)
+    R[labels, cols] -= 1.0
+    return ((R * weights) @ X).ravel()
 
 
 def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def hypercleaning_oracles(data: HypercleaningProblem,
@@ -158,6 +156,8 @@ def hypercleaning_oracles(data: HypercleaningProblem,
     n, m = data.n_train, data.n_val
     C, d = data.num_classes, data.dim_features
     reg = data.reg
+    cols_t, cols_v = np.arange(n), np.arange(m)
+    wv = np.full(m, 1.0 / m)
 
     def pick(token: SampleToken | None, channel: str, count: int):
         if token is None:
@@ -175,65 +175,66 @@ def hypercleaning_oracles(data: HypercleaningProblem,
         W = y.reshape(C, d)
         idx = pick(token, "fy", m)
         if idx is None:
-            return _ce_grad_W(W, Xv, yv, np.full(m, 1.0 / m))
+            return _ce_grad_W(W, Xv, yv, cols_v, wv)
         b = idx.shape[0]
-        return _ce_grad_W(W, Xv[idx], yv[idx], np.full(b, 1.0 / b))
+        return _ce_grad_W(W, Xv[idx], yv[idx], np.arange(b), np.full(b, 1.0 / b))
 
     def grad_g_y(x, y, token):
         W = y.reshape(C, d)
         idx = pick(token, "gy", n)
         if idx is None:
             w = _sigmoid(x) / n
-            return _ce_grad_W(W, Xt, yt, w) + 2.0 * reg * y
+            return _ce_grad_W(W, Xt, yt, cols_t, w) + 2.0 * reg * y
         b = idx.shape[0]
         w = _sigmoid(x[idx]) / b
-        return _ce_grad_W(W, Xt[idx], yt[idx], w) + 2.0 * reg * y
+        return _ce_grad_W(W, Xt[idx], yt[idx], np.arange(b), w) + 2.0 * reg * y
 
     def grad_g_x(x, y, token):
         W = y.reshape(C, d)
-        out = np.zeros(n)
         idx = pick(token, "gx", n)
         if idx is None:
-            _, losses = _softmax_ce(W, Xt, yt)
+            _, losses = _softmax_ce(W, Xt, yt, cols_t)
             s = _sigmoid(x)
             return s * (1.0 - s) * losses / n
         b = idx.shape[0]
-        _, losses = _softmax_ce(W, Xt[idx], yt[idx])
+        _, losses = _softmax_ce(W, Xt[idx], yt[idx], np.arange(b))
         s = _sigmoid(x[idx])
+        out = np.zeros(n)
         # scatter-add: repeated indices accumulate, keeping the estimator unbiased
         np.add.at(out, idx, s * (1.0 - s) * losses / b)
         return out
 
     def value_f(x, y):
         W = y.reshape(C, d)
-        _, losses = _softmax_ce(W, Xv, yv)
+        _, losses = _softmax_ce(W, Xv, yv, cols_v)
         return float(losses.mean())
 
     def value_g(x, y):
         W = y.reshape(C, d)
-        _, losses = _softmax_ce(W, Xt, yt)
+        _, losses = _softmax_ce(W, Xt, yt, cols_t)
         return float(_sigmoid(x) @ losses / n + reg * (y @ y))
 
     def hess_g_yy(x, y):
         W = y.reshape(C, d)
-        P, _ = _softmax_ce(W, Xt, yt)
+        P, _ = _softmax_ce(W, Xt, yt, cols_t)
         w = _sigmoid(x) / n
         # block (a, b) of sum_i w_i (diag(p_i) - p_i p_i') kron x_i x_i' is
-        # (X v)' X with v_i = w_i P_ia ([a = b] - P_ib): one matmul per block
+        # (X v)' X with v_i = w_i P_ai ([a = b] - P_bi): one matmul per block
         H = 2.0 * reg * np.eye(C * d)
         for a in range(C):
             for b in range(C):
-                v = w * P[:, a] * ((a == b) - P[:, b])
+                v = w * P[a] * ((a == b) - P[b])
                 H[a * d:(a + 1) * d, b * d:(b + 1) * d] += (Xt * v[:, None]).T @ Xt
         return H
 
     def jac_g_xy(x, y):
         W = y.reshape(C, d)
-        P, _ = _softmax_ce(W, Xt, yt)
-        R = P.copy()
-        R[np.arange(n), yt] -= 1.0
+        R, _ = _softmax_ce(W, Xt, yt, cols_t)
+        R[yt, cols_t] -= 1.0
         s = _sigmoid(x)
-        return np.einsum("i,ia,ic->iac", s * (1.0 - s) / n, R, Xt).reshape(n, C * d)
+        # order="C" lets the reshape return a view instead of a copy
+        return np.einsum("i,ai,ic->iac", s * (1.0 - s) / n, R, Xt,
+                         order="C").reshape(n, C * d)
 
     xnorm_t = float(np.max(np.linalg.norm(Xt, axis=1)))
     xnorm_v = float(np.max(np.linalg.norm(Xv, axis=1)))
@@ -273,17 +274,21 @@ def nobo_baseline_run(data: HypercleaningProblem, K: int, seed: int,
         raise InvalidArgumentError("K must be nonnegative")
     if alpha <= 0:
         raise PreconditionViolation("alpha must be positive")
+    if batch_size < 1:
+        raise InvalidArgumentError("batch_size must be at least 1")
     t_start = time.perf_counter()
     Xt, yt = data.X_train, data.y_train
     C, d = data.num_classes, data.dim_features
     n, reg = data.n_train, data.reg
     rng = np.random.default_rng(seed)
     w = np.zeros(C * d)
+    cols_t, cols_v = np.arange(n), np.arange(data.n_val)
+    cols_b, wb = np.arange(batch_size), np.full(batch_size, 1.0 / batch_size)
 
     def row() -> dict:
         W = w.reshape(C, d)
-        _, lt = _softmax_ce(W, Xt, yt)
-        _, lv = _softmax_ce(W, data.X_val, data.y_val)
+        _, lt = _softmax_ce(W, Xt, yt, cols_t)
+        _, lv = _softmax_ce(W, data.X_val, data.y_val, cols_v)
         return {"train_loss": float(lt.mean() + reg * (w @ w)),
                 "val_loss": float(lv.mean())}
 
@@ -291,7 +296,7 @@ def nobo_baseline_run(data: HypercleaningProblem, K: int, seed: int,
         nonlocal w
         idx = rng.integers(0, n, size=batch_size)
         W = w.reshape(C, d)
-        gb = _ce_grad_W(W, Xt[idx], yt[idx], np.full(batch_size, 1.0 / batch_size))
+        gb = _ce_grad_W(W, Xt[idx], yt[idx], cols_b, wb)
         w = w - alpha * (gb + 2.0 * reg * w)
 
     ks, series, _ = drive(K, checkpoint_every, lambda: {"w": w}, row, step)

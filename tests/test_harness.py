@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,41 @@ class TestRunExperiment:
         partial = read_trace(path)
         assert partial["algorithm"] == algorithm
         assert list(partial["k"]) == [0]
+
+    def test_summary_records_later_condition_violations(self, tmp_path):
+        consts = builtin_zoo()["scalar-offset"].to_problem().constants
+        sched = default_params(Algorithm.F3SA, consts, c_eta=1e3,
+                               noise_regime=NoiseRegime.BOTH_NOISY)
+        K = 1200
+        # eta_{k+1} >= max(2 (gamma_{k-1} - gamma_k) / gamma_{k-1},
+        #                  c_eta l_g1^3 / mu_g gamma_k^2) for k >= 1
+        gamma = [sched.c_gamma / (k + sched.k0) ** sched.c for k in range(K)]
+        first_bad = next(
+            k for k in range(1, K)
+            if (k + 2) ** (-2 * sched.c) * (1 + 1e-9) < max(
+                2 * (gamma[k - 1] - gamma[k]) / gamma[k - 1],
+                sched.c_eta * consts.l_g1**3 / sched.mu_g * gamma[k] ** 2))
+        assert 1 < first_bad < K - 1
+        out = tmp_path / "f3sa"
+        cfg = config_from_dict(base_config(
+            out, algorithm="F3SA", schedule=sched.to_dict(), K=K, seeds=[0],
+            checkpoint_every=400,
+            problem={"kind": "quadratic-zoo", "name": "scalar-offset",
+                     "sigma_f": 0.1, "sigma_g": 0.1}))
+        with warnings.catch_warnings():
+            # step 0 satisfies every condition, so the solver stays silent
+            warnings.simplefilter("error", RuntimeWarning)
+            summary = run_experiment(cfg)
+        assert summary["condition_violations"] == {"eta_below_window": first_bad}
+        saved = json.loads((out / "summary.json").read_text())
+        assert saved["condition_violations"] == {"eta_below_window": first_bad}
+
+        clean = run_experiment(config_from_dict(base_config(tmp_path / "f2sa")))
+        assert clean["condition_violations"] == {}
+        sobo = run_experiment(config_from_dict(base_config(
+            tmp_path / "sobo", algorithm="SOBO", schedule=None, K=10,
+            seeds=[0])))
+        assert "condition_violations" not in sobo
 
     def test_nobo_needs_a_cleaning_problem(self, tmp_path):
         cfg = config_from_dict(base_config(

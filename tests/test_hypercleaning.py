@@ -1,14 +1,17 @@
 """Label-noise cleaning problem: data generation, oracles, baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fosbo.errors import InvalidArgumentError, PreconditionViolation
 from fosbo.f2sa import f2sa_run
-from fosbo.oracles import NoiseRegime, draw_token
+from fosbo.oracles import NoiseRegime, draw_token, token_rng
 from fosbo.problems import (HypercleaningProblem, corrupt_labels,
                             hypercleaning_oracles,
                             make_synthetic_hypercleaning, nobo_baseline_run)
+from fosbo.problems.hypercleaning import _sigmoid
 from fosbo.reference import finite_difference_grad
 from fosbo.schedule import Algorithm, ScheduleParams
 
@@ -210,6 +213,137 @@ class TestMinibatching:
             hypercleaning_oracles(tiny, batch_size=17)  # n_val is 16
 
 
+def _rowmajor_softmax_ce(W, X, labels):
+    """The (n, C) formulas the class-major oracles must reproduce bitwise."""
+    logits = X @ W.T
+    m = logits.max(axis=1, keepdims=True)
+    ex = np.exp(logits - m)
+    Z = ex.sum(axis=1)
+    P = ex / Z[:, None]
+    losses = np.log(Z) + m[:, 0] - logits[np.arange(X.shape[0]), labels]
+    return P, losses
+
+
+def _rowmajor_residual(W, X, labels):
+    P, _ = _rowmajor_softmax_ce(W, X, labels)
+    R = P.copy()
+    R[np.arange(X.shape[0]), labels] -= 1.0
+    return R
+
+
+def _rowmajor_grad_W(W, X, labels, weights):
+    R = _rowmajor_residual(W, X, labels)
+    return ((R * weights[:, None]).T @ X).ravel()
+
+
+def _two_branch_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+class TestClassMajorLayout:
+    """The oracles keep per-example arrays as (C, n); every output must
+    equal the row-major formulas bit for bit."""
+
+    @pytest.fixture(scope="class", params=[0, 1])
+    def data(self, request):
+        return make_synthetic_hypercleaning(seed=request.param)
+
+    @pytest.fixture(params=[0.0, 0.3, 30.0])
+    def point(self, request, data):
+        rng = np.random.default_rng(int(request.param * 10) + 17)
+        x = rng.normal(0.0, 3.0, size=data.n_train)
+        y = request.param * rng.normal(size=data.dim_weights)
+        if request.param == 30.0:
+            # past exp's overflow point: dropping the max shift gives inf/nan
+            W = y.reshape(data.num_classes, data.dim_features)
+            assert np.abs(data.X_train @ W.T).max() > 710.0
+        return x, y
+
+    def test_gradients_exact_and_minibatch(self, data, point):
+        x, y = point
+        prob = hypercleaning_oracles(data, batch_size=50)
+        Xt, yt, Xv, yv = data.X_train, data.y_train, data.X_val, data.y_val
+        n, m, reg = data.n_train, data.n_val, data.reg
+        W = y.reshape(data.num_classes, data.dim_features)
+        s = _two_branch_sigmoid(x)
+        _, lt = _rowmajor_softmax_ce(W, Xt, yt)
+        assert np.array_equal(prob.grad_f_y(x, y, None), _rowmajor_grad_W(
+            W, Xv, yv, np.full(m, 1.0 / m)))
+        assert np.array_equal(prob.grad_g_y(x, y, None), _rowmajor_grad_W(
+            W, Xt, yt, s / n) + 2.0 * reg * y)
+        assert np.array_equal(prob.grad_g_x(x, y, None), s * (1.0 - s) * lt / n)
+
+        tok = draw_token(np.random.default_rng(3), 1)
+        b = 50
+        idx = token_rng(tok, "fy").integers(0, m, size=b)
+        assert np.array_equal(prob.grad_f_y(x, y, tok), _rowmajor_grad_W(
+            W, Xv[idx], yv[idx], np.full(b, 1.0 / b)))
+        idx = token_rng(tok, "gy").integers(0, n, size=b)
+        assert np.array_equal(prob.grad_g_y(x, y, tok), _rowmajor_grad_W(
+            W, Xt[idx], yt[idx], s[idx] / b) + 2.0 * reg * y)
+        idx = token_rng(tok, "gx").integers(0, n, size=b)
+        _, lb = _rowmajor_softmax_ce(W, Xt[idx], yt[idx])
+        want = np.zeros(n)
+        np.add.at(want, idx, s[idx] * (1.0 - s[idx]) * lb / b)
+        assert np.array_equal(prob.grad_g_x(x, y, tok), want)
+
+    def test_values_and_second_order(self, data, point):
+        x, y = point
+        prob = hypercleaning_oracles(data, batch_size=50)
+        Xt, yt = data.X_train, data.y_train
+        n, reg = data.n_train, data.reg
+        C, d = data.num_classes, data.dim_features
+        W = y.reshape(C, d)
+        s = _two_branch_sigmoid(x)
+        P, lt = _rowmajor_softmax_ce(W, Xt, yt)
+        _, lv = _rowmajor_softmax_ce(W, data.X_val, data.y_val)
+        assert prob.value_f(x, y) == float(lv.mean())
+        assert prob.value_g(x, y) == float(s @ lt / n + reg * (y @ y))
+
+        w = s / n
+        H = 2.0 * reg * np.eye(C * d)
+        for a in range(C):
+            for b in range(C):
+                v = w * P[:, a] * ((a == b) - P[:, b])
+                H[a * d:(a + 1) * d, b * d:(b + 1) * d] += (Xt * v[:, None]).T @ Xt
+        assert np.array_equal(prob.second_order.hess_g_yy(x, y), H)
+        J = np.einsum("i,ia,ic->iac", s * (1.0 - s) / n,
+                      _rowmajor_residual(W, Xt, yt), Xt).reshape(n, C * d)
+        assert np.array_equal(prob.second_order.jac_g_xy(x, y), J)
+
+    def test_nobo_run(self, data):
+        K, seed, alpha, b = 30, 4, 0.5, 50
+        res = nobo_baseline_run(data, K=K, seed=seed, alpha=alpha,
+                                batch_size=b, checkpoint_every=10)
+        Xt, yt, reg = data.X_train, data.y_train, data.reg
+        C, d = data.num_classes, data.dim_features
+        rng = np.random.default_rng(seed)
+        w = np.zeros(C * d)
+        for _ in range(K):
+            idx = rng.integers(0, data.n_train, size=b)
+            gb = _rowmajor_grad_W(w.reshape(C, d), Xt[idx], yt[idx],
+                                  np.full(b, 1.0 / b))
+            w = w - alpha * (gb + 2.0 * reg * w)
+        assert np.array_equal(res.y_final, w)
+        _, lt = _rowmajor_softmax_ce(w.reshape(C, d), Xt, yt)
+        _, lv = _rowmajor_softmax_ce(w.reshape(C, d), data.X_val, data.y_val)
+        assert res.series["train_loss"][-1] == float(lt.mean() + reg * (w @ w))
+        assert res.series["val_loss"][-1] == float(lv.mean())
+
+    def test_sigmoid_edges(self):
+        t = np.array([1e3, -1e3, 0.0, -0.0, np.nan, 2.5, -2.5, 40.0, -40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = _sigmoid(t)
+        assert np.array_equal(out, _two_branch_sigmoid(t), equal_nan=True)
+        assert out[0] == 1.0 and out[1] == 0.0 and out[2] == out[3] == 0.5
+
+
 class TestBaselines:
     def test_nobo_reduces_validation_loss(self):
         data = make_synthetic_hypercleaning(n_train=300, n_val=100, dim=8,
@@ -226,6 +360,8 @@ class TestBaselines:
             nobo_baseline_run(tiny, K=-1, seed=0)
         with pytest.raises(PreconditionViolation):
             nobo_baseline_run(tiny, K=5, seed=0, alpha=0.0)
+        with pytest.raises(InvalidArgumentError):
+            nobo_baseline_run(tiny, K=0, seed=0, batch_size=0)
 
 
 class TestCleaningEndToEnd:
