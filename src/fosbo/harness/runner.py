@@ -3,10 +3,12 @@ traces and an aggregate summary."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -96,33 +98,39 @@ def _build_cleaning_data(spec: dict) -> HypercleaningProblem:
         reg=spec.get("reg", 0.01))
 
 
-def _run_one_seed(cfg: ExperimentConfig, problem: BilevelProblem,
-                  data: HypercleaningProblem | None, seed: int) -> RunResult:
+def _seed_call(cfg: ExperimentConfig, problem: BilevelProblem,
+               data: HypercleaningProblem | None) -> tuple[Callable, tuple, dict]:
+    """The per-seed call of the configured entry point: the function, the
+    arguments before the seed, and the keyword arguments, solver options
+    included.  Rejects an ``x0`` or an option the entry point cannot take,
+    so a bad config fails before any seed runs."""
     x0 = None if cfg.x0 is None else np.array(cfg.x0, dtype=float)
-    opts = dict(cfg.solver_options)
-    if cfg.algorithm == "F2SA":
-        return f2sa_run(problem, cfg.schedule, cfg.K, seed, x0=x0,
-                        batch_size=cfg.batch_size,
-                        checkpoint_every=cfg.checkpoint_every,
-                        grad_mode=cfg.grad_mode,
-                        check_constants=cfg.check_constants, **opts)
-    if cfg.algorithm == "F3SA":
-        return f3sa_run(problem, cfg.schedule, cfg.K, seed, x0=x0,
-                        batch_size=cfg.batch_size,
-                        checkpoint_every=cfg.checkpoint_every,
-                        grad_mode=cfg.grad_mode,
-                        check_constants=cfg.check_constants, **opts)
-    if cfg.algorithm == "SOBO":
-        return sobo_baseline_run(problem, cfg.K, seed, x0=x0,
-                                 batch_size=cfg.batch_size,
-                                 checkpoint_every=cfg.checkpoint_every,
-                                 grad_mode=cfg.grad_mode, **opts)
-    if data is None:
-        raise ConfigError("the NoBO baseline only applies to cleaning "
-                          "problems", path="algorithm")
-    return nobo_baseline_run(data, cfg.K, seed,
-                             batch_size=cfg.batch_size,
-                             checkpoint_every=cfg.checkpoint_every, **opts)
+    if x0 is not None and x0.shape != (problem.dim_x,):
+        raise ConfigError(f"has {x0.size} entries, the problem has dim_x = "
+                          f"{problem.dim_x}", path="x0")
+    kw = dict(batch_size=cfg.batch_size, checkpoint_every=cfg.checkpoint_every)
+    if cfg.algorithm == "NoBO":
+        if data is None:
+            raise ConfigError("the NoBO baseline only applies to cleaning "
+                              "problems", path="algorithm")
+        entry, head = nobo_baseline_run, (data, cfg.K)
+    elif cfg.algorithm == "SOBO":
+        entry, head = sobo_baseline_run, (problem, cfg.K)
+        kw.update(x0=x0, grad_mode=cfg.grad_mode)
+    else:
+        entry = f2sa_run if cfg.algorithm == "F2SA" else f3sa_run
+        head = (problem, cfg.schedule, cfg.K)
+        kw.update(x0=x0, grad_mode=cfg.grad_mode,
+                  check_constants=cfg.check_constants)
+    params = inspect.signature(entry).parameters
+    # an entry point that takes **kwargs (a wrapper) accepts any option
+    if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        free = [name for name in list(params)[len(head) + 1:] if name not in kw]
+        for key in cfg.solver_options:
+            if key not in free:
+                raise ConfigError(f"{cfg.algorithm} takes no option {key!r}; "
+                                  f"options: {free}", path=f"solver_options.{key}")
+    return entry, head, {**kw, **cfg.solver_options}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -141,6 +149,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """
     t_start = time.perf_counter()
     problem, data = build_problem(cfg)
+    run_entry, head, kwargs = _seed_call(cfg, problem, data)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -149,7 +158,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for seed in cfg.seeds:
         entry: dict = {"seed": seed}
         try:
-            res = _run_one_seed(cfg, problem, data, seed)
+            res = run_entry(*head, seed, **kwargs)
         except NumericFailure as exc:
             entry.update(status="numeric-failure", error=str(exc),
                          error_context={k: v for k, v in exc.context.items()

@@ -28,6 +28,12 @@ from .errors import InvalidArgumentError
 
 Vector = np.ndarray
 
+
+def _inner(u: np.ndarray, v: np.ndarray):
+    """u'v: the BLAS dot on vectors, one value per row on (S, d) rows."""
+    return u.dot(v) if u.ndim == 1 else np.einsum("ij,ij->i", u, v)
+
+
 # Channel ids form the second word of the Philox key, so distinct channels fed
 # the same token draw from independent streams, while the two g-channel
 # evaluations that share a token (momentum pairs) see identical noise.

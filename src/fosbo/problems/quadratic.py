@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import InvalidArgumentError, NumericFailure
 from ..oracles import (BilevelProblem, NoiseRegime, RegularityConstants,
-                       SecondOrderOracle, Vector, gaussian_noise)
+                       SecondOrderOracle, Vector, _inner, gaussian_noise)
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,11 @@ class QuadraticBilevel:
     box_y: tuple[np.ndarray, np.ndarray]
     name: str = "quadratic"
 
+    def __post_init__(self):
+        # the transposes the products below use, stored once as views
+        for name in ("A_f", "B_f", "C_f", "A_g", "P"):
+            object.__setattr__(self, name + "_T", getattr(self, name).T)
+
     @property
     def dim_x(self) -> int:
         return self.B_f.shape[0]
@@ -62,49 +67,54 @@ class QuadraticBilevel:
         return self.A_g.shape[0]
 
     # ---- objective values and exact gradients ----
+    # Each takes a vector (d,) or replicate rows (S, d).  The gradients take
+    # and ignore a token, so noise-free channels serve them as oracles.
+    # Products are written ``v.dot(M.T)``: on a vector that is bitwise
+    # ``M @ v`` at half the per-call cost; a contiguous copy of the transpose
+    # would change bits.
 
     def f_value(self, x: Vector, y: Vector) -> float:
-        return float(0.5 * y @ self.A_f @ y + 0.5 * x @ self.B_f @ x
-                     + x @ self.C_f @ y + self.a_f @ x + self.b_f @ y)
+        return (0.5 * _inner(y.dot(self.A_f), y)
+                + 0.5 * _inner(x.dot(self.B_f), x) + _inner(x.dot(self.C_f), y)
+                + x.dot(self.a_f) + y.dot(self.b_f))
 
     def g_value(self, x: Vector, y: Vector) -> float:
-        r = y - self.P @ x - self.p
-        return float(0.5 * r @ self.A_g @ r)
-
-    # Exact gradients take and ignore a token, so noise-free channels serve
-    # them as oracles.  ``M.dot(v)`` is the BLAS call ``M @ v`` makes, bitwise
-    # equal at half the per-call cost; a contiguous transpose changes bits.
+        r = y - x.dot(self.P_T) - self.p
+        return 0.5 * _inner(r.dot(self.A_g), r)
 
     def grad_f_x_exact(self, x: Vector, y: Vector, token=None) -> Vector:
-        return self.B_f.dot(x) + self.C_f.dot(y) + self.a_f
+        return x.dot(self.B_f_T) + y.dot(self.C_f_T) + self.a_f
 
     def grad_f_y_exact(self, x: Vector, y: Vector, token=None) -> Vector:
-        return self.A_f.dot(y) + self.C_f.T.dot(x) + self.b_f
+        return y.dot(self.A_f_T) + x.dot(self.C_f) + self.b_f
 
     def grad_g_x_exact(self, x: Vector, y: Vector, token=None) -> Vector:
-        return -(self.P.T.dot(self.A_g.dot(y - self.P.dot(x) - self.p)))
+        return -(self.grad_g_y_exact(x, y).dot(self.P))
 
     def grad_g_y_exact(self, x: Vector, y: Vector, token=None) -> Vector:
-        return self.A_g.dot(y - self.P.dot(x) - self.p)
+        return (y - x.dot(self.P_T) - self.p).dot(self.A_g_T)
 
     # ---- closed forms ----
 
     def y_star(self, x: Vector) -> Vector:
-        return self.P @ x + self.p
+        return x.dot(self.P_T) + self.p
 
     def y_star_lambda(self, x: Vector, lam: float) -> Vector:
         """Minimizer of f + lam * g in y; needs lam above the strong-convexity
         threshold so the system matrix is positive definite."""
         H = self.A_f + lam * self.A_g
-        rhs = lam * (self.A_g @ self.y_star(x)) - self.C_f.T @ x - self.b_f
+        rhs = lam * self.y_star(x).dot(self.A_g_T) - x.dot(self.C_f) - self.b_f
         try:
             cho = np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
             raise NumericFailure(
                 f"penalized lower-level Hessian not positive definite at lam={lam}",
                 lam=lam) from exc
-        z = np.linalg.solve(cho, rhs)
-        return np.linalg.solve(cho.T, z)
+        if x.ndim == 2:
+            # rows: one LU solve for all of them.  Each form keeps its engine's
+            # bits; they differ at round-off, which ||y - y*_lam||^2 amplifies
+            return np.linalg.solve(H, rhs.T).T
+        return np.linalg.solve(cho.T, np.linalg.solve(cho, rhs))
 
     def hyper_matrices(self) -> tuple[np.ndarray, np.ndarray, float]:
         """H_F, c_F, const of F(x) = 1/2 x'H_F x + c_F'x + const."""
@@ -116,7 +126,7 @@ class QuadraticBilevel:
 
     def grad_F(self, x: Vector) -> Vector:
         H, cvec, _ = self.hyper_matrices()
-        return H @ x + cvec
+        return x.dot(H.T) + cvec
 
     def F_value(self, x: Vector) -> float:
         return self.f_value(x, self.y_star(x))

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailure, PreconditionViolation
-from .oracles import BilevelProblem, Vector, draw_token
+from .oracles import BilevelProblem, Vector, _inner, draw_token
 from .runs import RunResult, drive
 
 
@@ -143,6 +143,26 @@ def finite_difference_grad(scalar_map: Callable[[Vector], float], x: Vector,
     return out
 
 
+def _analytic_state(an, l_g1: float, x, y, z, lam: float) -> dict:
+    """dist_y_sq = ||y - y*_lam(x)||^2, dist_z_sq = ||z - y*(x)||^2 and the
+    potential F(x) - F* + l_g1 lam dist_y_sq + 1/2 lam l_g1 dist_z_sq, from
+    the closed forms ``an`` (a ``ProblemAnalytics``), of one state or of
+    replicate rows (one value per row).  A term whose inputs are absent (z
+    None, lam not positive or not finite) is left out."""
+    row = {}
+    if lam > 0:
+        d = y - an.y_star_lambda(x, lam)
+        row["dist_y_sq"] = _inner(d, d)
+    if z is not None:
+        d = z - an.y_star(x)
+        row["dist_z_sq"] = _inner(d, d)
+    if len(row) == 2 and math.isfinite(lam):
+        row["potential"] = (an.F_value(x) - an.F_star
+                            + l_g1 * lam * row["dist_y_sq"]
+                            + 0.5 * lam * l_g1 * row["dist_z_sq"])
+    return row
+
+
 class Diagnostics:
     """Checkpoint-time evaluator shared by all run loops.
 
@@ -195,21 +215,9 @@ class Diagnostics:
                   lam: float) -> dict:
         row = {"grad_F_sq": self.grad_F_sq(x)}
         pb = self.problem
-        an = pb.analytics
-        if an is not None:
-            ys = an.y_star(x)
-            yl = an.y_star_lambda(x, lam) if lam > 0 else None
-            if yl is not None:
-                d = y - yl
-                row["dist_y_sq"] = float(d @ d)
-            if z is not None:
-                d = z - ys
-                row["dist_z_sq"] = float(d @ d)
-            if yl is not None and z is not None and math.isfinite(lam):
-                lg1 = pb.constants.l_g1
-                row["potential"] = (an.F_value(x) - an.F_star
-                                    + lg1 * lam * row["dist_y_sq"]
-                                    + 0.5 * lam * lg1 * row["dist_z_sq"])
+        if pb.analytics is not None:
+            row.update(_analytic_state(pb.analytics, pb.constants.l_g1,
+                                       x, y, z, lam))
         else:
             if pb.value_g is not None:
                 row["train_loss"] = float(pb.value_g(x, y))
@@ -236,6 +244,8 @@ def sobo_baseline_run(problem: BilevelProblem, K: int, seed: int,
         raise PreconditionViolation("baseline requires a second-order oracle")
     if K < 0:
         raise InvalidArgumentError("iteration budget must be nonnegative")
+    if alpha <= 0:
+        raise PreconditionViolation("alpha must be positive")
     t_start = time.perf_counter()
     so = problem.second_order
     c = problem.constants

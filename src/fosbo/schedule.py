@@ -262,7 +262,7 @@ def run_schedule(params: ScheduleParams, K: int) -> dict[str, np.ndarray]:
     out = {"k": ks, "lambda": lam, "delta": delta, "alpha": alpha,
            "gamma": gamma, "beta": alpha * lam}
     if params.algorithm is Algorithm.F3SA:
-        out["eta"] = np.array([params._scalar_eta(k) for k in range(K)])
+        out["eta"] = np.fromiter(map(params._scalar_eta, range(K)), float, K)
     return out
 
 
@@ -314,7 +314,8 @@ def check_sweep(params: ScheduleParams, constants: RegularityConstants,
         if params._scalar_eta(0) != 1.0 or params._scalar_eta(1) != 1.0:
             found["eta_first_two_steps_not_one"] = 0
         ks = np.arange(1, K)
-        eta_next = np.array([params._scalar_eta(k + 1) for k in range(1, K)])
+        # eta_{k+1} for k = 1..K-1: the tabulated eta shifted by one
+        eta_next = np.append(arrays["eta"][2:], params._scalar_eta(K))[:K - 1]
         lower = np.maximum(2.0 * (gamma[ks - 1] - gamma[ks]) / gamma[ks - 1],
                            params.c_eta * cons.l_g1**3 / params.mu_g * gamma[ks]**2)
         bad = np.nonzero(eta_next * tol < lower)[0]

@@ -552,6 +552,31 @@ class TestCli:
         assert main(["run", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over, path", [
+        (dict(x0=[1, 2]), "x0"),
+        (dict(algorithm="SOBO", schedule=None,
+              solver_options={"bogus": 1}), "solver_options.bogus"),
+        (dict(solver_options={"batch_size": 2}), "solver_options.batch_size"),
+    ])
+    def test_run_arguments_are_config_errors(self, tmp_path, capsys, over,
+                                             path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(tmp_path / "exp", **over)))
+        assert main(["run", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:")
+        assert "Traceback" not in err
+        # rejected before any seed ran
+        assert not (tmp_path / "exp").exists()
+
+    def test_sobo_nonpositive_step_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            tmp_path / "exp", algorithm="SOBO", schedule=None, K=10,
+            solver_options={"alpha": -1})))
+        assert main(["run", str(cfg_path)]) == 1
+        assert "alpha must be positive" in capsys.readouterr().err
+
     def test_total_divergence_exits_2(self, tmp_path, capsys):
         sched = ScheduleParams(
             algorithm=Algorithm.F2SA, noise_regime=NoiseRegime.DETERMINISTIC,

@@ -217,3 +217,54 @@ class TestExactOraclesBitwise:
                     got = getattr(prob, attr)(x, y, tok)
                     want = getattr(quad, attr + "_exact")(x, y)
                     assert got.tobytes() == want.tobytes(), attr
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# non-symmetric C_f and P (dim_x != dim_y) expose a transposed product
+@pytest.mark.parametrize(
+    "quad", [make_quadratic((3, 2), seed=4), make_quadratic((2, 5), seed=5),
+             builtin_zoo()["coupled-2d"], builtin_zoo()["conditioned-3d"]],
+    ids=lambda q: q.name)
+class TestReplicateRows:
+    def test_rows_equal_per_row_calls(self, quad):
+        rng = np.random.default_rng(31)
+        X = 2.0 * rng.standard_normal((7, quad.dim_x))
+        Y = 2.0 * rng.standard_normal((7, quad.dim_y))
+        lam = 3.0 * quad.local_constants().lambda_min
+        forms = {
+            "grad_f_x": quad.grad_f_x_exact, "grad_f_y": quad.grad_f_y_exact,
+            "grad_g_x": quad.grad_g_x_exact, "grad_g_y": quad.grad_g_y_exact,
+            "f_value": quad.f_value, "g_value": quad.g_value,
+            "y_star": lambda x, y: quad.y_star(x),
+            "y_star_lambda": lambda x, y: quad.y_star_lambda(x, lam),
+            "grad_F": lambda x, y: quad.grad_F(x),
+            "F_value": lambda x, y: quad.F_value(x),
+        }
+        for name, form in forms.items():
+            rows = form(X, Y)
+            each = np.array([form(x, y) for x, y in zip(X, Y)])
+            assert rows.shape == each.shape, name
+            assert _max_rel(rows, each) <= 1e-12, name
+
+    def test_vector_closed_forms_keep_their_bits(self, quad):
+        rng = np.random.default_rng(32)
+        H, c, _ = quad.hyper_matrices()
+        lam = 3.0 * quad.local_constants().lambda_min
+        cho = np.linalg.cholesky(quad.A_f + lam * quad.A_g)
+        for _ in range(50):
+            x = 2.0 * rng.standard_normal(quad.dim_x)
+            ys = quad.P @ x + quad.p
+            rhs = lam * (quad.A_g @ ys) - quad.C_f.T @ x - quad.b_f
+            F = float(0.5 * ys @ quad.A_f @ ys + 0.5 * x @ quad.B_f @ x
+                      + x @ quad.C_f @ ys + quad.a_f @ x + quad.b_f @ ys)
+            assert quad.y_star(x).tobytes() == ys.tobytes()
+            assert quad.grad_F(x).tobytes() == (H @ x + c).tobytes()
+            assert quad.y_star_lambda(x, lam).tobytes() == np.linalg.solve(
+                cho.T, np.linalg.solve(cho, rhs)).tobytes()
+            assert quad.F_value(x) == F
+            y = 2.0 * rng.standard_normal(quad.dim_y)
+            r = y - quad.P @ x - quad.p
+            assert quad.g_value(x, y) == float(0.5 * r @ quad.A_g @ r)

@@ -147,3 +147,8 @@ class TestBaseline:
     def test_negative_budget_rejected(self, canonical_problem):
         with pytest.raises(InvalidArgumentError):
             sobo_baseline_run(canonical_problem, K=-1, seed=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_nonpositive_step_rejected(self, canonical_problem, alpha):
+        with pytest.raises(PreconditionViolation):
+            sobo_baseline_run(canonical_problem, K=10, seed=0, alpha=alpha)
