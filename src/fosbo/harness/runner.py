@@ -8,7 +8,7 @@ import json
 import math
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -102,8 +102,9 @@ def _seed_call(cfg: ExperimentConfig, problem: BilevelProblem,
                data: HypercleaningProblem | None) -> tuple[Callable, tuple, dict]:
     """The per-seed call of the configured entry point: the function, the
     arguments before the seed, and the keyword arguments, solver options
-    included.  Rejects an ``x0`` or an option the entry point cannot take,
-    so a bad config fails before any seed runs."""
+    included.  Rejects an ``x0``, an option the entry point cannot take and
+    an option value that does not fit the parameter's annotation (or, with
+    none, its default's type), so a bad config fails before any seed runs."""
     x0 = None if cfg.x0 is None else np.array(cfg.x0, dtype=float)
     if x0 is not None and x0.shape != (problem.dim_x,):
         raise ConfigError(f"has {x0.size} entries, the problem has dim_x = "
@@ -126,11 +127,37 @@ def _seed_call(cfg: ExperimentConfig, problem: BilevelProblem,
     # an entry point that takes **kwargs (a wrapper) accepts any option
     if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
         free = [name for name in list(params)[len(head) + 1:] if name not in kw]
-        for key in cfg.solver_options:
+        hints = get_type_hints(entry)
+        for key, value in cfg.solver_options.items():
             if key not in free:
                 raise ConfigError(f"{cfg.algorithm} takes no option {key!r}; "
                                   f"options: {free}", path=f"solver_options.{key}")
+            hint = hints.get(key, type(params[key].default))
+            if not _option_fits(value, hint, problem.dim_y):
+                raise ConfigError(f"{cfg.algorithm} takes {_type_name(hint)}, "
+                                  f"not {value!r}", path=f"solver_options.{key}")
     return entry, head, {**kw, **cfg.solver_options}
+
+
+def _option_fits(value, hint, dim_y: int) -> bool:
+    """Whether a JSON value can stand for an argument annotated ``hint``.
+    A bool is no number, an int is a float, and a vector option (y0, z0)
+    is a list of dim_y numbers."""
+    for t in get_args(hint) or (hint,):
+        if t is np.ndarray:
+            if (isinstance(value, list) and len(value) == dim_y and all(
+                    _option_fits(v, float, dim_y) for v in value)):
+                return True
+        elif isinstance(value, {float: (int, float)}.get(t, t)) and (
+                t is bool or not isinstance(value, bool)):
+            return True
+    return False
+
+
+def _type_name(hint) -> str:
+    names = {np.ndarray: "a list of dim_y numbers", type(None): "null"}
+    return " or ".join(names.get(t, t.__name__)
+                       for t in get_args(hint) or (hint,))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -109,29 +109,47 @@ def make_synthetic_hypercleaning(n_train: int = 2000, n_val: int = 200,
 
 # Per-example arrays are class-major, (C, n): numpy reduces slowly over a
 # short inner axis, so max and sum run over axis 0 of C long rows instead.
-def _softmax_ce(W: np.ndarray, X: np.ndarray, labels: np.ndarray,
-                cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax probabilities (C, n) and cross-entropy losses (n,);
-    ``cols`` is ``np.arange(n)``."""
-    logits = W @ X.T
-    m = logits.max(axis=0)
-    ex = np.exp(logits - m)
-    Z = ex.sum(axis=0)
-    P = ex / Z
-    losses = np.log(Z) + m - logits[labels, cols]
-    return P, losses
+# Each caller gets only what it returns: probabilities (_softmax_probs) or
+# losses (_ce_losses).  ``own`` (_own) indexes the own-class entries of the
+# flat (C, n) buffer, labels * n + arange(n): once per split, or per draw.
+def _softmax_probs(W, X, own=None):
+    """Softmax probabilities (C, n), computed in the logits buffer; with
+    ``own``, minus the one-hot labels (the cross-entropy residual)."""
+    P = W @ X.T
+    P -= P.max(axis=0)
+    np.exp(P, out=P)
+    P /= P.sum(axis=0)
+    if own is not None:
+        P.reshape(-1)[own] -= 1.0  # matmul output is C-contiguous: a view
+    return P
 
 
-def _ce_grad_W(W, X, labels, cols, weights):
+def _ce_losses(W, X, own):
+    """Cross-entropy losses (n,)."""
+    ex = W @ X.T
+    m = ex.max(axis=0)
+    own_logits = ex.take(own)
+    ex -= m
+    np.exp(ex, out=ex)
+    return np.log(ex.sum(axis=0)) + m - own_logits
+
+
+def _ce_grad_W(W, X, own, weights):
     """Weighted sum of per-example cross-entropy gradients, flattened."""
-    R, _ = _softmax_ce(W, X, labels, cols)
-    R[labels, cols] -= 1.0
-    return ((R * weights) @ X).ravel()
+    R = _softmax_probs(W, X, own)
+    R *= weights
+    return (R @ X).ravel()
+
+
+def _own(labels: np.ndarray) -> np.ndarray:
+    n = labels.shape[0]
+    return n * np.asarray(labels, dtype=np.intp) + np.arange(n)
 
 
 def _sigmoid(t):
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def hypercleaning_oracles(data: HypercleaningProblem,
@@ -156,7 +174,7 @@ def hypercleaning_oracles(data: HypercleaningProblem,
     n, m = data.n_train, data.n_val
     C, d = data.num_classes, data.dim_features
     reg = data.reg
-    cols_t, cols_v = np.arange(n), np.arange(m)
+    own_t, own_v = _own(yt), _own(yv)
     wv = np.full(m, 1.0 / m)
 
     def pick(token: SampleToken | None, channel: str, count: int):
@@ -175,29 +193,28 @@ def hypercleaning_oracles(data: HypercleaningProblem,
         W = y.reshape(C, d)
         idx = pick(token, "fy", m)
         if idx is None:
-            return _ce_grad_W(W, Xv, yv, cols_v, wv)
+            return _ce_grad_W(W, Xv, own_v, wv)
         b = idx.shape[0]
-        return _ce_grad_W(W, Xv[idx], yv[idx], np.arange(b), np.full(b, 1.0 / b))
+        return _ce_grad_W(W, Xv[idx], _own(yv[idx]), np.full(b, 1.0 / b))
 
     def grad_g_y(x, y, token):
         W = y.reshape(C, d)
         idx = pick(token, "gy", n)
         if idx is None:
             w = _sigmoid(x) / n
-            return _ce_grad_W(W, Xt, yt, cols_t, w) + 2.0 * reg * y
-        b = idx.shape[0]
-        w = _sigmoid(x[idx]) / b
-        return _ce_grad_W(W, Xt[idx], yt[idx], np.arange(b), w) + 2.0 * reg * y
+            return _ce_grad_W(W, Xt, own_t, w) + 2.0 * reg * y
+        w = _sigmoid(x[idx]) / idx.shape[0]
+        return _ce_grad_W(W, Xt[idx], _own(yt[idx]), w) + 2.0 * reg * y
 
     def grad_g_x(x, y, token):
         W = y.reshape(C, d)
         idx = pick(token, "gx", n)
         if idx is None:
-            _, losses = _softmax_ce(W, Xt, yt, cols_t)
+            losses = _ce_losses(W, Xt, own_t)
             s = _sigmoid(x)
             return s * (1.0 - s) * losses / n
         b = idx.shape[0]
-        _, losses = _softmax_ce(W, Xt[idx], yt[idx], np.arange(b))
+        losses = _ce_losses(W, Xt[idx], _own(yt[idx]))
         s = _sigmoid(x[idx])
         out = np.zeros(n)
         # scatter-add: repeated indices accumulate, keeping the estimator unbiased
@@ -206,17 +223,16 @@ def hypercleaning_oracles(data: HypercleaningProblem,
 
     def value_f(x, y):
         W = y.reshape(C, d)
-        _, losses = _softmax_ce(W, Xv, yv, cols_v)
-        return float(losses.mean())
+        return float(_ce_losses(W, Xv, own_v).mean())
 
     def value_g(x, y):
         W = y.reshape(C, d)
-        _, losses = _softmax_ce(W, Xt, yt, cols_t)
+        losses = _ce_losses(W, Xt, own_t)
         return float(_sigmoid(x) @ losses / n + reg * (y @ y))
 
     def hess_g_yy(x, y):
         W = y.reshape(C, d)
-        P, _ = _softmax_ce(W, Xt, yt, cols_t)
+        P = _softmax_probs(W, Xt)
         w = _sigmoid(x) / n
         # block (a, b) of sum_i w_i (diag(p_i) - p_i p_i') kron x_i x_i' is
         # (X v)' X with v_i = w_i P_ai ([a = b] - P_bi): one matmul per block
@@ -229,8 +245,7 @@ def hypercleaning_oracles(data: HypercleaningProblem,
 
     def jac_g_xy(x, y):
         W = y.reshape(C, d)
-        R, _ = _softmax_ce(W, Xt, yt, cols_t)
-        R[yt, cols_t] -= 1.0
+        R = _softmax_probs(W, Xt, own_t)
         s = _sigmoid(x)
         # order="C" lets the reshape return a view instead of a copy
         return np.einsum("i,ai,ic->iac", s * (1.0 - s) / n, R, Xt,
@@ -282,13 +297,13 @@ def nobo_baseline_run(data: HypercleaningProblem, K: int, seed: int,
     n, reg = data.n_train, data.reg
     rng = np.random.default_rng(seed)
     w = np.zeros(C * d)
-    cols_t, cols_v = np.arange(n), np.arange(data.n_val)
-    cols_b, wb = np.arange(batch_size), np.full(batch_size, 1.0 / batch_size)
+    own_t, own_v = _own(yt), _own(data.y_val)
+    wb = np.full(batch_size, 1.0 / batch_size)
 
     def row() -> dict:
         W = w.reshape(C, d)
-        _, lt = _softmax_ce(W, Xt, yt, cols_t)
-        _, lv = _softmax_ce(W, data.X_val, data.y_val, cols_v)
+        lt = _ce_losses(W, Xt, own_t)
+        lv = _ce_losses(W, data.X_val, own_v)
         return {"train_loss": float(lt.mean() + reg * (w @ w)),
                 "val_loss": float(lv.mean())}
 
@@ -296,7 +311,7 @@ def nobo_baseline_run(data: HypercleaningProblem, K: int, seed: int,
         nonlocal w
         idx = rng.integers(0, n, size=batch_size)
         W = w.reshape(C, d)
-        gb = _ce_grad_W(W, Xt[idx], yt[idx], cols_b, wb)
+        gb = _ce_grad_W(W, Xt[idx], _own(yt[idx]), wb)
         w = w - alpha * (gb + 2.0 * reg * w)
 
     ks, series, _ = drive(K, checkpoint_every, lambda: {"w": w}, row, step)

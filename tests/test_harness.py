@@ -425,7 +425,9 @@ class TestRunExperiment:
         cfg = config_from_dict(base_config(
             out, algorithm=algorithm, schedule=sched.to_dict(), K=1000,
             checkpoint_every=500, check_constants=False, seeds=[0]))
-        with pytest.warns(RuntimeWarning, match="step-size conditions"):
+        # the divergence itself overflows inside the step before the guard
+        with pytest.warns(RuntimeWarning, match="step-size conditions"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             summary = run_experiment(cfg)
         entry = summary["seeds"][0]
         assert entry["status"] == "numeric-failure"
@@ -488,9 +490,11 @@ class TestRunExperiment:
 
     def test_solver_options_reach_the_baseline(self, tmp_path):
         out = tmp_path / "exp"
+        # an int where a float is taken, null where None is, a y0 of dim_y
         cfg = config_from_dict(base_config(
             out, algorithm="SOBO", schedule=None, K=300, seeds=[0],
-            solver_options={"alpha": 0.2}))
+            solver_options={"alpha": 0.2, "inner_steps": 10, "gamma": None,
+                            "y0": [0]}))
         summary = run_experiment(cfg)
         assert summary["n_failed"] == 0
         entry = summary["seeds"][0]
@@ -557,6 +561,14 @@ class TestCli:
         (dict(algorithm="SOBO", schedule=None,
               solver_options={"bogus": 1}), "solver_options.bogus"),
         (dict(solver_options={"batch_size": 2}), "solver_options.batch_size"),
+        (dict(algorithm="SOBO", schedule=None,
+              solver_options={"inner_steps": 0.5}), "solver_options.inner_steps"),
+        (dict(algorithm="SOBO", schedule=None,
+              solver_options={"gamma": "a"}), "solver_options.gamma"),
+        (dict(algorithm="SOBO", schedule=None,
+              solver_options={"alpha": True}), "solver_options.alpha"),
+        (dict(solver_options={"y0": [1.0, 2.0]}), "solver_options.y0"),
+        (dict(solver_options={"callbacks": []}), "solver_options.callbacks"),
     ])
     def test_run_arguments_are_config_errors(self, tmp_path, capsys, over,
                                              path):

@@ -236,6 +236,34 @@ def _rowmajor_grad_W(W, X, labels, weights):
     return ((R * weights[:, None]).T @ X).ravel()
 
 
+def _rowmajor_grads(data, x, y, rows):
+    """grad_f_y, grad_g_y and grad_g_x by the row-major formulas; ``rows``
+    maps each channel to its minibatch indices, or to None for the exact
+    pass over the whole split."""
+    Xt, yt, Xv, yv = data.X_train, data.y_train, data.X_val, data.y_val
+    n, m, reg = data.n_train, data.n_val, data.reg
+    W = y.reshape(data.num_classes, data.dim_features)
+    s = _two_branch_sigmoid(x)
+    out = {}
+    idx = rows["fy"]
+    out["grad_f_y"] = (
+        _rowmajor_grad_W(W, Xv, yv, np.full(m, 1.0 / m)) if idx is None else
+        _rowmajor_grad_W(W, Xv[idx], yv[idx], np.full(idx.size, 1.0 / idx.size)))
+    idx = rows["gy"]
+    out["grad_g_y"] = (
+        _rowmajor_grad_W(W, Xt, yt, s / n) if idx is None else
+        _rowmajor_grad_W(W, Xt[idx], yt[idx], s[idx] / idx.size)) + 2.0 * reg * y
+    idx = rows["gx"]
+    if idx is None:
+        _, lt = _rowmajor_softmax_ce(W, Xt, yt)
+        out["grad_g_x"] = s * (1.0 - s) * lt / n
+    else:
+        _, lb = _rowmajor_softmax_ce(W, Xt[idx], yt[idx])
+        out["grad_g_x"] = np.zeros(n)
+        np.add.at(out["grad_g_x"], idx, s[idx] * (1.0 - s[idx]) * lb / idx.size)
+    return out
+
+
 def _two_branch_sigmoid(t):
     out = np.empty_like(t)
     pos = t >= 0
@@ -267,30 +295,37 @@ class TestClassMajorLayout:
     def test_gradients_exact_and_minibatch(self, data, point):
         x, y = point
         prob = hypercleaning_oracles(data, batch_size=50)
-        Xt, yt, Xv, yv = data.X_train, data.y_train, data.X_val, data.y_val
-        n, m, reg = data.n_train, data.n_val, data.reg
-        W = y.reshape(data.num_classes, data.dim_features)
-        s = _two_branch_sigmoid(x)
-        _, lt = _rowmajor_softmax_ce(W, Xt, yt)
-        assert np.array_equal(prob.grad_f_y(x, y, None), _rowmajor_grad_W(
-            W, Xv, yv, np.full(m, 1.0 / m)))
-        assert np.array_equal(prob.grad_g_y(x, y, None), _rowmajor_grad_W(
-            W, Xt, yt, s / n) + 2.0 * reg * y)
-        assert np.array_equal(prob.grad_g_x(x, y, None), s * (1.0 - s) * lt / n)
-
+        exact = dict.fromkeys(("fy", "gy", "gx"))
+        for name, want in _rowmajor_grads(data, x, y, exact).items():
+            assert np.array_equal(getattr(prob, name)(x, y, None), want)
         tok = draw_token(np.random.default_rng(3), 1)
-        b = 50
-        idx = token_rng(tok, "fy").integers(0, m, size=b)
-        assert np.array_equal(prob.grad_f_y(x, y, tok), _rowmajor_grad_W(
-            W, Xv[idx], yv[idx], np.full(b, 1.0 / b)))
-        idx = token_rng(tok, "gy").integers(0, n, size=b)
-        assert np.array_equal(prob.grad_g_y(x, y, tok), _rowmajor_grad_W(
-            W, Xt[idx], yt[idx], s[idx] / b) + 2.0 * reg * y)
-        idx = token_rng(tok, "gx").integers(0, n, size=b)
-        _, lb = _rowmajor_softmax_ce(W, Xt[idx], yt[idx])
-        want = np.zeros(n)
-        np.add.at(want, idx, s[idx] * (1.0 - s[idx]) * lb / b)
-        assert np.array_equal(prob.grad_g_x(x, y, tok), want)
+        rows = {ch: token_rng(tok, ch).integers(0, count, size=50)
+                for ch, count in (("fy", data.n_val), ("gy", data.n_train),
+                                  ("gx", data.n_train))}
+        for name, want in _rowmajor_grads(data, x, y, rows).items():
+            assert np.array_equal(getattr(prob, name)(x, y, tok), want)
+
+    @pytest.mark.parametrize("oracle_b, token_b", [(50, 40), (1, 7), (50, 7)])
+    def test_token_paths(self, data, point, oracle_b, token_b):
+        # a token draws oracle_b * token_b rows: 2000 cover both splits
+        # (the exact pass through a token), 7 cover neither, and 350 cover
+        # the 200 validation rows but draw the training rows with repeats
+        x, y = point
+        prob = hypercleaning_oracles(data, batch_size=oracle_b)
+        tok = draw_token(np.random.default_rng(5), token_b)
+        size = oracle_b * token_b
+        rows = {ch: None if size >= count
+                else token_rng(tok, ch).integers(0, count, size=size)
+                for ch, count in (("fy", data.n_val), ("gy", data.n_train),
+                                  ("gx", data.n_train))}
+        if size == 2000:
+            assert all(r is None for r in rows.values())
+        if size == 350:
+            assert rows["fy"] is None
+            # the scatter-add must accumulate a repeated index
+            assert np.unique(rows["gx"]).size < size
+        for name, want in _rowmajor_grads(data, x, y, rows).items():
+            assert np.array_equal(getattr(prob, name)(x, y, tok), want)
 
     def test_values_and_second_order(self, data, point):
         x, y = point
