@@ -136,20 +136,19 @@ def f2sa_step(state: SolverState, problem: BilevelProblem,
 
 
 def warn_condition_violations(params: ScheduleParams,
-                              problem: BilevelProblem) -> list[str]:
+                              problem: BilevelProblem) -> None:
     """Emit a warning naming each step-size condition violated at k=0
     (non-fatal so ablation runs stay possible)."""
-    violations = list(check_sweep(params, problem.constants, 1))
+    violations = check_sweep(params, problem.constants, 1)
     if violations:
         warnings.warn(
             "schedule violates step-size conditions at k=0: "
             + ", ".join(violations), RuntimeWarning, stacklevel=4)
-    return violations
 
 
 def _solver_run(algorithm: str, problem: BilevelProblem,
                 params: ScheduleParams, K: int, seed: int, x0, y0, z0, step,
-                *, checkpoint_every: int | None, callbacks, grad_mode: str,
+                *, checkpoint_every: int | None, grad_mode: str,
                 check_constants: bool) -> RunResult:
     """The run both solvers share: seeded state, the condition advisory,
     rows of schedule values and state diagnostics, and ``drive`` over
@@ -168,7 +167,7 @@ def _solver_run(algorithm: str, problem: BilevelProblem,
 
     checkpoints, series, x_R = drive(
         K, checkpoint_every, lambda: {"x": state.x, "y": state.y, "z": state.z},
-        row, partial(step, state), R=state.R, callbacks=callbacks)
+        row, partial(step, state), R=state.R)
     return RunResult(
         algorithm=algorithm, problem_name=problem.name, seed=seed, K=K,
         R=state.R, x_R=x_R, x_final=state.x, y_final=state.y, z_final=state.z,
@@ -185,7 +184,7 @@ def _proxy_row(state: SolverState) -> dict:
 def f2sa_run(problem: BilevelProblem, params: ScheduleParams, K: int,
              seed: int, x0: Vector | None = None, y0: Vector | None = None,
              z0: Vector | None = None, *, batch_size: int = 1,
-             checkpoint_every: int | None = None, callbacks=(),
+             checkpoint_every: int | None = None,
              share_x_token: bool = False, grad_mode: str = "auto",
              check_constants: bool = True) -> RunResult:
     """Run K outer iterations from a seeded stream and collect a trace.
@@ -193,8 +192,7 @@ def f2sa_run(problem: BilevelProblem, params: ScheduleParams, K: int,
     Checkpoint rows record the state entering that iteration; the row's
     ``proxy_sq`` is the squared norm of the x direction computed during it.
     A final row at index K (present when the cadence divides K) records the
-    post-run state.  Callbacks receive (k, row) after the row is complete and
-    must not mutate solver state.
+    post-run state.
     """
     if params.algorithm is not Algorithm.F2SA:
         raise InvalidArgumentError("params are not for the double-loop solver")
@@ -206,5 +204,5 @@ def f2sa_run(problem: BilevelProblem, params: ScheduleParams, K: int,
         return _proxy_row(state) if due else None
 
     return _solver_run("F2SA", problem, params, K, seed, x0, y0, z0, step,
-                       checkpoint_every=checkpoint_every, callbacks=callbacks,
-                       grad_mode=grad_mode, check_constants=check_constants)
+                       checkpoint_every=checkpoint_every, grad_mode=grad_mode,
+                       check_constants=check_constants)

@@ -129,8 +129,8 @@ def f3sa_step(state: SolverState, mom: MomentumState, problem: BilevelProblem,
 def f3sa_run(problem: BilevelProblem, params: ScheduleParams, K: int,
              seed: int, x0: Vector | None = None, y0: Vector | None = None,
              z0: Vector | None = None, *, batch_size: int = 1,
-             checkpoint_every: int | None = None, callbacks=(),
-             grad_mode: str = "auto", check_constants: bool = True) -> RunResult:
+             checkpoint_every: int | None = None, grad_mode: str = "auto",
+             check_constants: bool = True) -> RunResult:
     """Run K momentum-solver iterations; trace contract matches f2sa_run.
 
     Checkpoint rows additionally carry ``mom_err_z_sq``, the squared error of
@@ -149,5 +149,5 @@ def f3sa_run(problem: BilevelProblem, params: ScheduleParams, K: int,
         return {**_proxy_row(state), "mom_err_z_sq": err} if due else None
 
     return _solver_run("F3SA", problem, params, K, seed, x0, y0, z0, step,
-                       checkpoint_every=checkpoint_every, callbacks=callbacks,
-                       grad_mode=grad_mode, check_constants=check_constants)
+                       checkpoint_every=checkpoint_every, grad_mode=grad_mode,
+                       check_constants=check_constants)

@@ -30,6 +30,17 @@ def _common_grid(traces: list[dict]) -> np.ndarray:
     return grid
 
 
+def _seed_mean_stderr(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and standard error over the rows (seeds) of ``stack``
+    that hold a finite value: NaN where none does, stderr 0 where one does."""
+    cnt = np.sum(np.isfinite(stack), axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = np.where(cnt > 0, np.nanmean(stack, axis=0), math.nan)
+        sd = np.where(cnt > 1, np.nanstd(stack, axis=0, ddof=1), 0.0)
+    return mean, np.where(cnt > 0, sd / np.sqrt(np.maximum(cnt, 1)), math.nan)
+
+
 def fit_rate(traces, k_min: float, k_max: float,
              field: str) -> tuple[float, float, float]:
     """Log-log least-squares slope of a diagnostic over a checkpoint window.
@@ -99,16 +110,9 @@ def emit_plot_data(traces, fields, out_path) -> None:
             for t in group:
                 if fname not in t:
                     raise DataError(f"a {a} trace has no field {fname!r}")
-            stack = np.stack([np.asarray(t[fname], dtype=float) for t in group])
-            cnt = np.sum(np.isfinite(stack), axis=0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                mean = np.where(cnt > 0, np.nanmean(stack, axis=0), math.nan)
-                sd = np.where(cnt > 1, np.nanstd(stack, axis=0, ddof=1), 0.0)
-            stderr = np.where(cnt > 0, sd / np.sqrt(np.maximum(cnt, 1)),
-                              math.nan)
             header += [f"{a}.{fname}.mean", f"{a}.{fname}.stderr"]
-            columns += [mean, stderr]
+            columns += _seed_mean_stderr(np.stack(
+                [np.asarray(t[fname], dtype=float) for t in group]))
 
     with open(out_path, "w", newline="") as f:
         w = csv.writer(f)

@@ -39,6 +39,9 @@ from ..schedule import ScheduleParams
 ALGORITHMS = ("F2SA", "F3SA", "SOBO", "NoBO")
 GRAD_MODES = ("auto", "analytic", "second-order", "fd", "none")
 PROBLEM_KINDS = ("quadratic-zoo", "quadratic-random", "hypercleaning")
+# integer problem fields and their least admitted value (None: any integer)
+_INT_FLOORS = {"dim_x": 1, "dim_y": 1, "seed": None, "n_train": 1, "n_val": 1,
+               "dim": 1, "num_classes": 2, "data_seed": None}
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,12 @@ def _validate_problem(spec, path: str) -> dict:
                  f"{path}.name")
     if kind == "quadratic-random":
         for key in ("dim_x", "dim_y", "seed"):
-            _require(_is_int(spec.get(key)), f"{key} must be an integer",
-                     f"{path}.{key}")
+            _require(key in spec, f"{key} is required", f"{path}.{key}")
+    for key, floor in _INT_FLOORS.items():
+        if key in spec:
+            _require(_is_int(spec[key]) and (floor is None or spec[key] >= floor),
+                     f"{key} must be an integer"
+                     + ("" if floor is None else f" >= {floor}"), f"{path}.{key}")
     for key in ("sigma_f", "sigma_g", "corruption", "reg", "conditioning",
                 "cluster_spread"):
         if key in spec:

@@ -25,7 +25,7 @@ from ..problems.quadratic import builtin_zoo, make_quadratic
 from ..reference import Diagnostics, sobo_baseline_run
 from ..runs import RunResult
 from ..schedule import check_sweep
-from .analysis import as_trace_arrays
+from .analysis import _common_grid, _seed_mean_stderr, as_trace_arrays
 from .config import ExperimentConfig
 from .trace import write_trace_csv
 
@@ -74,10 +74,10 @@ def _build_cleaning_data(spec: dict) -> HypercleaningProblem:
     if len(present) != 4:
         raise ConfigError("dataset-backed cleaning needs all four of "
                           f"{file_keys}", path="problem")
-    Xt, _ = load_dataset(spec["train_images"], "idx")
-    _, yt = load_dataset(spec["train_labels"], "idx")
-    Xv, _ = load_dataset(spec["val_images"], "idx")
-    _, yv = load_dataset(spec["val_labels"], "idx")
+    Xt, _ = load_dataset(spec["train_images"])
+    _, yt = load_dataset(spec["train_labels"])
+    Xv, _ = load_dataset(spec["val_images"])
+    _, yv = load_dataset(spec["val_labels"])
     for arr, key in ((Xt, "train_images"), (yt, "train_labels"),
                      (Xv, "val_images"), (yv, "val_labels")):
         if arr is None:
@@ -198,7 +198,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             continue
         tpath = out_dir / f"trace_{res.algorithm}_seed{seed}.csv"
         write_trace_csv(tpath, res)
-        finals = {name: _last_finite(res.series.get(name))
+        finals = {name: _last_finite(res.series[name])
                   for name in ("grad_F_sq", "val_loss", "train_loss")}
         entry.update(status="ok", R=res.R, trace=str(tpath),
                      wall_time_s=res.wall_time_s,
@@ -246,8 +246,6 @@ def _write_partial_trace(path: Path, cfg: ExperimentConfig,
 
 
 def _last_finite(arr) -> float | None:
-    if arr is None:
-        return None
     vals = np.asarray(arr, dtype=float)
     good = np.isfinite(vals)
     if not good.any():
@@ -256,27 +254,24 @@ def _last_finite(arr) -> float | None:
 
 
 def _none_if_nan(v: float):
-    return None if v is None or math.isnan(v) else float(v)
+    return None if math.isnan(v) else float(v)
 
 
 def _aggregate(runs: list[RunResult]) -> dict:
-    """Seed mean and stderr of each diagnostic on the shared checkpoint grid."""
+    """Seed mean and stderr of each diagnostic on the shared checkpoint grid;
+    one seed has stderr 0 on every row, rows without a value included."""
     if not runs:
         return {}
     traces = [as_trace_arrays(r) for r in runs]
-    grid = traces[0]["k"]
-    for t in traces[1:]:
-        if not np.array_equal(t["k"], grid):
-            raise DataError("seeds produced different checkpoint grids")
+    grid = _common_grid(traces)
     out: dict = {"k": [int(k) for k in grid]}
-    n = len(traces)
     for name in _AGG_FIELDS:
         stack = np.stack([t[name] for t in traces])
         if not np.any(np.isfinite(stack)):
             continue
-        mean = stack.mean(axis=0)
-        stderr = (stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1
-                  else np.zeros(len(grid)))
+        mean, stderr = _seed_mean_stderr(stack)
+        if len(runs) == 1:
+            stderr = np.zeros(len(grid))
         out[name] = {"mean": _jsonify(mean), "stderr": _jsonify(stderr)}
     return out
 

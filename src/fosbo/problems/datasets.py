@@ -1,12 +1,10 @@
-"""IDX and CSV dataset ingestion.
+"""IDX dataset ingestion.
 
 IDX is the big-endian binary layout used by the classic digit benchmarks:
 a 4-byte magic (0x00000803 for byte images, 0x00000801 for byte labels),
 one big-endian uint32 per dimension, then raw bytes.  Image files load as
 (n, rows*cols) floats scaled into [0, 1]; label files load as an int
-vector.  CSV files need a header row containing a "label" column; the
-remaining columns are features and are taken at face value (no rescaling,
-since generic CSVs are not byte-valued).
+vector.
 
 Relative paths resolve against the FOSBO_DATA_ROOT environment variable
 when it is set.
@@ -14,7 +12,6 @@ when it is set.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 from pathlib import Path
@@ -46,8 +43,17 @@ def _read_exact(f, count: int, offset: int, what: str) -> bytes:
     return buf
 
 
-def _load_idx(path: Path) -> tuple[np.ndarray | None, np.ndarray | None]:
-    with open(path, "rb") as f:
+def load_dataset(path: str | os.PathLike
+                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Load (features, labels) from an IDX file.
+
+    An IDX file holds either images or labels, never both, so the missing
+    half of the pair comes back as None.
+    """
+    p = resolve_data_path(path)
+    if not p.exists():
+        raise DataError(f"dataset file not found: {p}")
+    with open(p, "rb") as f:
         head = _read_exact(f, 4, 0, "magic number")
         magic = struct.unpack(">I", head)[0]
         if magic == _MAGIC_IMAGES:
@@ -60,7 +66,7 @@ def _load_idx(path: Path) -> tuple[np.ndarray | None, np.ndarray | None]:
         for i in range(ndim):
             raw = _read_exact(f, 4, 4 + 4 * i, f"dimension {i}")
             dims.append(struct.unpack(">I", raw)[0])
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 0
+        count = int(np.prod(dims, dtype=np.int64))
         data_off = 4 + 4 * ndim
         raw = _read_exact(f, count, data_off, "data block")
         trailing = f.read(1)
@@ -74,60 +80,11 @@ def _load_idx(path: Path) -> tuple[np.ndarray | None, np.ndarray | None]:
     return None, arr.astype(np.int64)
 
 
-def _load_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty CSV") from None
-        header = [h.strip() for h in header]
-        if "label" not in header:
-            raise DataError(f"{path}: no 'label' column in header {header}")
-        li = header.index("label")
-        feats, labels = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {row_no} has {len(row)} fields, "
-                                f"header has {len(header)}")
-            try:
-                lab = float(row[li])
-                feats.append([float(v) for i, v in enumerate(row) if i != li])
-            except ValueError as exc:
-                raise DataError(f"{path}: row {row_no}: {exc}") from None
-            if lab != int(lab) or lab < 0:
-                raise DataError(f"{path}: row {row_no}: label {row[li]} "
-                                "is not a nonnegative integer")
-            labels.append(int(lab))
-    if not labels:
-        raise DataError(f"{path}: CSV has a header but no data rows")
-    return np.array(feats, dtype=float), np.array(labels, dtype=np.int64)
-
-
-def load_dataset(path: str | os.PathLike, format: str
-                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Load (features, labels) from an IDX or CSV file.
-
-    An IDX file holds either images or labels, never both, so the missing
-    half of the pair comes back as None; CSV files always yield both.
-    """
-    if format not in ("idx", "csv"):
-        raise InvalidArgumentError(f"unknown dataset format {format!r}")
-    p = resolve_data_path(path)
-    if not p.exists():
-        raise DataError(f"dataset file not found: {p}")
-    if format == "idx":
-        return _load_idx(p)
-    return _load_csv(p)
-
-
 def write_idx(path: str | os.PathLike, array: np.ndarray) -> None:
     """Write a uint8 array in IDX layout (3-d for images, 1-d for labels).
 
-    The inverse of the IDX half of load_dataset up to the [0,1] scaling;
-    mainly for building test fixtures.
+    The inverse of load_dataset up to the [0,1] scaling; mainly for
+    building test fixtures.
     """
     arr = np.asarray(array)
     if arr.ndim == 3:

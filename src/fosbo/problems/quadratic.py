@@ -174,24 +174,21 @@ class QuadraticBilevel:
 
     # ---- packaging as an oracle problem ----
 
-    def to_problem(self, sigma_f: float = 0.0, sigma_g: float = 0.0,
-                   noise_regime: NoiseRegime | None = None) -> BilevelProblem:
+    def to_problem(self, sigma_f: float = 0.0,
+                   sigma_g: float = 0.0) -> BilevelProblem:
         """Wrap the instance as a first-order oracle problem.
 
         Noise is additive Gaussian, a pure function of the token, so replayed
-        tokens cancel exactly in same-channel differences.
+        tokens cancel exactly in same-channel differences.  The sigmas decide
+        the noise regime: both noisy when sigma_g > 0, upper-only when only
+        sigma_f > 0, else deterministic.
         """
-        if noise_regime is None:
-            if sigma_g > 0:
-                noise_regime = NoiseRegime.BOTH_NOISY
-            elif sigma_f > 0:
-                noise_regime = NoiseRegime.UPPER_ONLY
-            else:
-                noise_regime = NoiseRegime.DETERMINISTIC
-        if noise_regime is NoiseRegime.DETERMINISTIC and (sigma_f > 0 or sigma_g > 0):
-            raise InvalidArgumentError("deterministic regime with nonzero sigma")
-        if noise_regime is NoiseRegime.UPPER_ONLY and sigma_g > 0:
-            raise InvalidArgumentError("upper-only regime with nonzero sigma_g")
+        if sigma_g > 0:
+            noise_regime = NoiseRegime.BOTH_NOISY
+        elif sigma_f > 0:
+            noise_regime = NoiseRegime.UPPER_ONLY
+        else:
+            noise_regime = NoiseRegime.DETERMINISTIC
         dx, dy = self.dim_x, self.dim_y
 
         def wrap(exact, channel, dim, sigma):

@@ -18,8 +18,25 @@ from .oracles import BilevelProblem, Vector, _inner, draw_token
 from .runs import RunResult, drive
 
 
+_MAX_DESCENT_STEPS = 10**6  # cap on the exact-gradient sub-solves below
+
+
+def _descend(grad: Callable[[Vector], Vector], y0: Vector | None, dim: int,
+             step: float, tol: float, what: str, **context) -> Vector:
+    """Exact gradient descent on y from y0 (zeros when None) with a fixed
+    step until ||grad|| <= tol."""
+    y = np.zeros(dim) if y0 is None else np.array(y0, dtype=float)
+    for _ in range(_MAX_DESCENT_STEPS):
+        g = grad(y)
+        if float(np.linalg.norm(g)) <= tol:
+            return y
+        y = y - step * g
+    raise NumericFailure(f"{what} did not reach tol={tol} in "
+                         f"{_MAX_DESCENT_STEPS} steps", **context, tol=tol)
+
+
 def solve_lower_level(problem: BilevelProblem, x: Vector, tol: float = 1e-10,
-                      max_steps: int = 10**6, y0: Vector | None = None) -> Vector:
+                      y0: Vector | None = None) -> Vector:
     """y*(x) to ||grad_y g|| <= tol.
 
     Uses the closed form when the problem carries analytics, otherwise exact
@@ -27,35 +44,21 @@ def solve_lower_level(problem: BilevelProblem, x: Vector, tol: float = 1e-10,
     """
     if problem.analytics is not None:
         return problem.analytics.y_star(x)
-    y = np.zeros(problem.dim_y) if y0 is None else np.array(y0, dtype=float)
-    step = 1.0 / problem.constants.l_g1
-    for _ in range(max_steps):
-        g = problem.grad_g_y(x, y, None)
-        if float(np.linalg.norm(g)) <= tol:
-            return y
-        y = y - step * g
-    raise NumericFailure(
-        f"lower-level solve did not reach tol={tol} in {max_steps} steps",
-        x=np.array(x), tol=tol)
+    return _descend(lambda y: problem.grad_g_y(x, y, None), y0, problem.dim_y,
+                    1.0 / problem.constants.l_g1, tol, "lower-level solve",
+                    x=np.array(x))
 
 
 def solve_penalized(problem: BilevelProblem, x: Vector, lam: float,
-                    tol: float = 1e-10, max_steps: int = 10**6,
-                    y0: Vector | None = None) -> Vector:
+                    tol: float = 1e-10, y0: Vector | None = None) -> Vector:
     """Minimizer over y of f + lam * g, to ||grad|| <= tol."""
     if problem.analytics is not None:
         return problem.analytics.y_star_lambda(x, lam)
-    y = np.zeros(problem.dim_y) if y0 is None else np.array(y0, dtype=float)
     c = problem.constants
-    step = 1.0 / (c.l_f1 + lam * c.l_g1)
-    for _ in range(max_steps):
-        g = problem.grad_f_y(x, y, None) + lam * problem.grad_g_y(x, y, None)
-        if float(np.linalg.norm(g)) <= tol:
-            return y
-        y = y - step * g
-    raise NumericFailure(
-        f"penalized solve did not reach tol={tol} in {max_steps} steps",
-        x=np.array(x), lam=lam, tol=tol)
+    return _descend(
+        lambda y: problem.grad_f_y(x, y, None) + lam * problem.grad_g_y(x, y, None),
+        y0, problem.dim_y, 1.0 / (c.l_f1 + lam * c.l_g1), tol,
+        "penalized solve", x=np.array(x), lam=lam)
 
 
 def hyper_objective(problem: BilevelProblem, x: Vector, tol: float = 1e-10) -> float:
@@ -174,8 +177,7 @@ class Diagnostics:
     problems (no analytics, value oracles present).
     """
 
-    def __init__(self, problem: BilevelProblem, mode: str = "auto",
-                 fd_step: float = 1e-6):
+    def __init__(self, problem: BilevelProblem, mode: str = "auto"):
         if mode not in ("auto", "analytic", "second-order", "fd", "none"):
             raise InvalidArgumentError(f"unknown diagnostics mode {mode!r}")
         if mode == "auto":
@@ -189,7 +191,6 @@ class Diagnostics:
                 "fd diagnostics need value_f and at most 32 upper dims")
         self.problem = problem
         self.mode = mode
-        self.fd_step = fd_step
         self.kind = {"analytic": "exact", "second-order": "exact",
                      "fd": "fd", "none": "none"}[mode]
         self._warm_y: Vector | None = None
@@ -206,7 +207,7 @@ class Diagnostics:
             g = exact_hypergradient(self.problem, x, self._y_star(x))
         elif self.mode == "fd":
             g = finite_difference_grad(
-                lambda xx: hyper_objective(self.problem, xx), x, self.fd_step)
+                lambda xx: hyper_objective(self.problem, xx), x, h=1e-6)
         else:
             return math.nan
         return float(g @ g)

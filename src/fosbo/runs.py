@@ -10,8 +10,7 @@ traces from different algorithms without caring which one produced them.
   trailing row at K (present when the cadence divides K) is the post-run
   state;
 - fields a step measures while it runs (the x direction's squared norm,
-  an estimator error) complete the row recorded just before that step,
-  before any callback sees the row;
+  an estimator error) complete the row recorded just before that step;
 - a NumericFailure raised anywhere in the loop, by the checkpoint guard, a
   diagnostic or a step between checkpoints, carries the rows recorded so
   far as its partial trace.
@@ -102,8 +101,6 @@ def guard_state(k: int, **vectors) -> None:
     step reports surface as NaN/Inf here.
     """
     for name, v in vectors.items():
-        if v is None:
-            continue
         norm = float(np.max(np.abs(v))) if np.ndim(v) else abs(float(v))
         if not math.isfinite(norm) or norm > DIVERGENCE_LIMIT:
             raise NumericFailure(
@@ -113,18 +110,15 @@ def guard_state(k: int, **vectors) -> None:
 
 def drive(K: int, checkpoint_every: int | None,
           iterates: Callable[[], dict], row: Callable[[], dict],
-          step: Callable[[bool], dict | None], *, R: int | None = None,
-          callbacks=()) -> tuple[np.ndarray, dict[str, np.ndarray],
-                                 np.ndarray | None]:
+          step: Callable[[bool], dict | None], *, R: int | None = None
+          ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray | None]:
     """Run steps 0..K-1, recording a row every cadence-th step and at K.
 
     ``iterates()`` names the current iterates for the guard; its "x" is
     snapshotted entering step R.  ``row()`` gives the diagnostics of the
     current state.  ``step(due)`` advances the state by one step; when
     ``due`` (a row was recorded entering the step) it may return fields it
-    measured, which complete that row.  Callbacks receive (k, row) once the
-    row is complete and must not mutate run state.  Returns (checkpoints,
-    series, x_R).
+    measured, which complete that row.  Returns (checkpoints, series, x_R).
     """
     cadence = checkpoint_cadence(K, checkpoint_every)
     builder = TraceBuilder()
@@ -140,15 +134,10 @@ def drive(K: int, checkpoint_every: int | None,
             if k == R:
                 x_R = iterates()["x"].copy()
             measured = step(due is not None)
-            if due is not None:
-                if measured:
-                    due.update(measured)
-                for cb in callbacks:
-                    cb(k, due)
+            if due is not None and measured:
+                due.update(measured)
         if K > 0 and K % cadence == 0:
-            last = record(K)
-            for cb in callbacks:
-                cb(K, last)
+            record(K)
     except NumericFailure as exc:
         ks, series = builder.finalize()
         exc.context.update(partial_checkpoints=ks, partial_series=series)

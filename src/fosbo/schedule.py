@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidArgumentError, PreconditionViolation
 from .oracles import NoiseRegime, RegularityConstants
 
-_REL_TOL = 1e-9  # slack for float-edge comparisons in the condition checker
+_REL_TOL = 1e-9  # slack for float-edge comparisons in every condition
 
 
 class Algorithm(enum.Enum):
@@ -209,13 +209,14 @@ def make_schedule(params: ScheduleParams,
     """Initial schedule state at k = 0.
 
     With constants supplied, rejects multipliers below the strong-convexity
-    threshold 2 l_f1 / mu_g.  Always rejects beta_0 > gamma_0.
+    threshold 2 l_f1 / mu_g.  Always rejects beta_0 > gamma_0.  Each refusal
+    is exactly a step-0 violation that :func:`check_sweep` names.
     """
-    if constants is not None and params.lambda0 < constants.lambda_min * (1 - 1e-12):
+    if constants is not None and params.lambda0 < constants.lambda_min * (1 - _REL_TOL):
         raise PreconditionViolation(
             f"lambda0 = {params.lambda0} is below 2 l_f1 / mu_g = {constants.lambda_min}")
     state = _state_at(params, 0, params.lambda0)
-    if state.beta_k > state.gamma_k * (1 + 1e-12):
+    if state.beta_k > state.gamma_k * (1 + _REL_TOL):
         raise PreconditionViolation(
             f"beta_0 = {state.beta_k} exceeds gamma_0 = {state.gamma_k}; "
             "the effective y step must not outrun the z step")

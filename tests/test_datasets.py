@@ -1,4 +1,4 @@
-"""IDX/CSV ingestion: round trips, malformed inputs, path resolution."""
+"""IDX ingestion: round trips, malformed inputs, path resolution."""
 
 import struct
 
@@ -16,7 +16,7 @@ class TestIdx:
         imgs = rng.integers(0, 256, size=(4, 28, 28), dtype=np.uint8)
         path = tmp_path / "imgs.idx"
         write_idx(path, imgs)
-        feats, labels = load_dataset(path, "idx")
+        feats, labels = load_dataset(path)
         assert labels is None
         assert feats.shape == (4, 784)
         assert feats.min() >= 0.0 and feats.max() <= 1.0
@@ -27,7 +27,7 @@ class TestIdx:
         labs = np.array([3, 1, 4, 1, 5], dtype=np.uint8)
         path = tmp_path / "labs.idx"
         write_idx(path, labs)
-        feats, labels = load_dataset(path, "idx")
+        feats, labels = load_dataset(path)
         assert feats is None
         assert labels.dtype == np.int64
         assert np.array_equal(labels, [3, 1, 4, 1, 5])
@@ -36,7 +36,7 @@ class TestIdx:
         path = tmp_path / "bad.idx"
         path.write_bytes(struct.pack(">I", 0xDEADBEEF))
         with pytest.raises(ParseError) as exc:
-            load_dataset(path, "idx")
+            load_dataset(path)
         assert exc.value.offset == 0
         assert "byte offset 0" in str(exc.value)
 
@@ -44,21 +44,21 @@ class TestIdx:
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">I", 0x00000801) + b"\x00\x00")
         with pytest.raises(ParseError) as exc:
-            load_dataset(path, "idx")
+            load_dataset(path)
         assert exc.value.offset == 6
 
     def test_truncated_data_block(self, tmp_path):
         path = tmp_path / "cut.idx"
         path.write_bytes(struct.pack(">II", 0x00000801, 10) + b"\x01\x02\x03")
         with pytest.raises(ParseError) as exc:
-            load_dataset(path, "idx")
+            load_dataset(path)
         assert exc.value.offset == 8 + 3
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "extra.idx"
         path.write_bytes(struct.pack(">II", 0x00000801, 2) + b"\x01\x02\x03")
         with pytest.raises(ParseError) as exc:
-            load_dataset(path, "idx")
+            load_dataset(path)
         assert exc.value.offset == 10
 
     def test_writer_validation(self, tmp_path):
@@ -70,61 +70,13 @@ class TestIdx:
             write_idx(tmp_path / "x.idx", np.array([1.5, 2.0]))
 
 
-class TestCsv:
-    def test_parse_with_label_column(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("a,label,b\n1.0,2,3.5\n0.5,0,-1.0\n")
-        feats, labels = load_dataset(path, "csv")
-        assert np.allclose(feats, [[1.0, 3.5], [0.5, -1.0]])
-        assert np.array_equal(labels, [2, 0])
-
-    def test_blank_rows_skipped(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("label,x\n1,2\n\n0,3\n")
-        _, labels = load_dataset(path, "csv")
-        assert np.array_equal(labels, [1, 0])
-
-    def test_missing_label_column(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError, match="label"):
-            load_dataset(path, "csv")
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("")
-        with pytest.raises(DataError, match="empty"):
-            load_dataset(path, "csv")
-
-    def test_header_only(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("label,x\n")
-        with pytest.raises(DataError, match="no data rows"):
-            load_dataset(path, "csv")
-
-    def test_ragged_row_reports_number(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("label,x\n1,2\n3,4,5\n")
-        with pytest.raises(DataError, match="row 3"):
-            load_dataset(path, "csv")
-
-    def test_non_integer_label(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("label,x\n1.5,2\n")
-        with pytest.raises(DataError, match="nonnegative integer"):
-            load_dataset(path, "csv")
-        path.write_text("label,x\noops,2\n")
-        with pytest.raises(DataError, match="row 2"):
-            load_dataset(path, "csv")
-
-
 class TestResolution:
     def test_env_root_applies_to_relative(self, tmp_path, monkeypatch):
         monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))
         labs = np.array([1, 2], dtype=np.uint8)
         write_idx("rel.idx", labs)
         assert (tmp_path / "rel.idx").exists()
-        _, labels = load_dataset("rel.idx", "idx")
+        _, labels = load_dataset("rel.idx")
         assert np.array_equal(labels, [1, 2])
         assert resolve_data_path("rel.idx") == tmp_path / "rel.idx"
 
@@ -132,13 +84,9 @@ class TestResolution:
         monkeypatch.setenv(DATA_ROOT_ENV, "/nonexistent")
         p = tmp_path / "abs.idx"
         write_idx(p, np.array([7], dtype=np.uint8))
-        _, labels = load_dataset(p, "idx")
+        _, labels = load_dataset(p)
         assert labels[0] == 7
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(InvalidArgumentError):
-            load_dataset(tmp_path / "x.bin", "parquet")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
-            load_dataset(tmp_path / "absent.idx", "idx")
+            load_dataset(tmp_path / "absent.idx")

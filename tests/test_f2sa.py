@@ -144,13 +144,22 @@ class TestRunContract:
         with pytest.raises(InvalidArgumentError):
             f2sa_run(canonical_problem, p3, K=5, seed=0)
 
-    def test_callbacks_see_completed_rows(self, canonical_problem):
-        seen = []
-        f2sa_run(canonical_problem, tuned_params(), K=20, seed=0,
-                 x0=np.array([1.0]), checkpoint_every=5,
-                 callbacks=[lambda k, row: seen.append((k, dict(row)))])
-        assert [k for k, _ in seen] == [0, 5, 10, 15, 20]
-        assert np.isfinite(seen[0][1]["proxy_sq"])
+    def test_row_proxy_comes_from_its_step(self, canonical):
+        # row k records the state entering step k and is completed by the
+        # squared x direction step k itself computes; the row at K has none
+        prob = canonical.to_problem(sigma_f=0.3, sigma_g=0.3)
+        p = tuned_params()
+        res = f2sa_run(prob, p, K=20, seed=5, x0=np.array([1.0]),
+                       checkpoint_every=5)
+        st = init_state(prob, p, seed=5, x0=np.array([1.0]), K=20)
+        want = []
+        for k in range(20):
+            f2sa_step(st, prob, p)
+            if k % 5 == 0:
+                want.append(float(st.last_direction @ st.last_direction))
+        assert list(res.checkpoints) == [0, 5, 10, 15, 20]
+        assert np.array_equal(res.series["proxy_sq"][:-1], want)
+        assert np.isnan(res.series["proxy_sq"][-1])
 
 
 class TestOracleCounts:

@@ -18,6 +18,7 @@ from fosbo.harness.runner import run_experiment
 from fosbo.harness.trace import (TRACE_COLUMNS, read_trace, records_from_run,
                                  write_trace_csv)
 from fosbo.oracles import NoiseRegime
+from fosbo.problems.datasets import write_idx
 from fosbo.problems.quadratic import builtin_zoo
 from fosbo.runs import RunResult
 from fosbo.schedule import Algorithm, ScheduleParams, default_params
@@ -130,6 +131,30 @@ class TestConfig:
         pytest.param(lambda d: d.update(problem={"kind": "quadratic-random",
                                                  "dim_y": 1, "seed": 0}),
                      "problem.dim_x", id="random-dims-missing"),
+        pytest.param(lambda d: d.update(problem={"kind": "quadratic-random",
+                                                 "dim_x": 0, "dim_y": 1,
+                                                 "seed": 0}),
+                     "problem.dim_x", id="random-dim-zero"),
+        pytest.param(lambda d: d.update(problem={"kind": "quadratic-random",
+                                                 "dim_x": -1, "dim_y": 1,
+                                                 "seed": 0}),
+                     "problem.dim_x", id="random-dim-negative"),
+        pytest.param(lambda d: d.update(problem={"kind": "quadratic-random",
+                                                 "dim_x": 1, "dim_y": 1,
+                                                 "seed": 0.5}),
+                     "problem.seed", id="random-seed-float"),
+        pytest.param(lambda d: d.update(problem={"kind": "hypercleaning",
+                                                 "n_train": "abc"}),
+                     "problem.n_train", id="cleaning-n-train-string"),
+        pytest.param(lambda d: d.update(problem={"kind": "hypercleaning",
+                                                 "dim": 2.5}),
+                     "problem.dim", id="cleaning-dim-float"),
+        pytest.param(lambda d: d.update(problem={"kind": "hypercleaning",
+                                                 "data_seed": 1.5}),
+                     "problem.data_seed", id="cleaning-data-seed-float"),
+        pytest.param(lambda d: d.update(problem={"kind": "hypercleaning",
+                                                 "num_classes": 1}),
+                     "problem.num_classes", id="cleaning-one-class"),
     ])
     def test_schema_errors_carry_dotted_paths(self, tmp_path, mutate, path):
         d = base_config(tmp_path)
@@ -580,6 +605,31 @@ class TestCli:
         assert "Traceback" not in err
         # rejected before any seed ran
         assert not (tmp_path / "exp").exists()
+
+    def test_run_on_idx_files(self, tmp_path, capsys):
+        # dataset-backed cleaning: four IDX files, one SOBO seed at K = 3
+        rng = np.random.default_rng(0)
+        problem = {"kind": "hypercleaning"}
+        for split, n in (("train", 12), ("val", 8)):
+            for key, arr in ((f"{split}_images", rng.integers(0, 256, (n, 2, 2))),
+                             (f"{split}_labels", np.arange(n) % 3)):
+                write_idx(tmp_path / f"{key}.idx", arr)
+                problem[key] = str(tmp_path / f"{key}.idx")
+        cfg_path = tmp_path / "cfg.json"
+
+        def run() -> int:
+            cfg_path.write_text(json.dumps(base_config(
+                tmp_path / "exp", problem=problem, algorithm="SOBO",
+                schedule=None, K=3, seeds=[0], x0=None)))
+            return main(["run", str(cfg_path)])
+
+        assert run() == 0
+        assert (tmp_path / "exp" / "trace_SOBO_seed0.csv").exists()
+        problem["train_images"] = problem["train_labels"]
+        assert run() == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert err.rstrip().endswith(": wrong IDX content for train_images")
 
     def test_sobo_nonpositive_step_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -144,14 +144,6 @@ class TestProblemWrapping:
         assert (canonical.to_problem(sigma_f=0.1, sigma_g=0.1).noise_regime
                 is NoiseRegime.BOTH_NOISY)
 
-    def test_regime_conflicts_rejected(self, canonical):
-        with pytest.raises(InvalidArgumentError):
-            canonical.to_problem(sigma_f=0.1,
-                                 noise_regime=NoiseRegime.DETERMINISTIC)
-        with pytest.raises(InvalidArgumentError):
-            canonical.to_problem(sigma_g=0.1,
-                                 noise_regime=NoiseRegime.UPPER_ONLY)
-
     def test_token_free_calls_are_exact(self, canonical):
         prob = canonical.to_problem(sigma_f=0.5, sigma_g=0.5)
         x, y = np.array([1.0]), np.array([2.0])

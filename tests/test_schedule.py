@@ -107,6 +107,24 @@ class TestPreconditions:
         with pytest.raises(PreconditionViolation):
             make_schedule(p, CONSTS)
 
+    @pytest.mark.parametrize("rel", [5e-10, 2e-9])
+    def test_refusal_agrees_with_the_report(self, rel):
+        # just inside and just outside the conditions' relative tolerance:
+        # make_schedule refuses exactly what check_sweep names at step 0
+        cases = {"lambda0_below_threshold":
+                 spec_example_params(lambda0=2.0 * (1 - rel)),
+                 "beta_exceeds_gamma":
+                 spec_example_params(c_alpha=0.1 * (1 + rel) / 2.0,
+                                     c_gamma=0.1, a=0.0, c=0.0)}
+        for name, p in cases.items():
+            named = name in check_sweep(p, CONSTS, 1)
+            assert named == (rel > 1e-9)
+            if named:
+                with pytest.raises(PreconditionViolation):
+                    make_schedule(p, CONSTS)
+            else:
+                make_schedule(p, CONSTS)
+
     def test_serialization_round_trip(self):
         p = spec_example_params()
         assert ScheduleParams.from_dict(p.to_dict()) == p
